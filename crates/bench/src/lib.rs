@@ -1,8 +1,9 @@
 //! # ams-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper
-//! (`table2` … `table6`, `fig7`, or `all`), each printing paper-reported
-//! values next to the values measured on this reproduction.
+//! (`table2` … `table6`, `fig7`, or `report` for all of them in one pass),
+//! each printing paper-reported values next to the values measured on this
+//! reproduction.
 //!
 //! The full pipeline per evaluation arm is: generate benchmark → place
 //! (SMT w/ or w/o AMS constraints, or the manual-surrogate packer) → route

@@ -1,211 +1,71 @@
-//! Geometric feasibility checks: region dimension candidates (Eq. 4–5),
-//! aggregate die capacity, power-band row capacity (Eq. 12), and QF_BV
-//! bit-width overflow. Every error here is a *necessary* condition — a
-//! flagged design is provably unsatisfiable, never merely suspicious.
+//! Geometric diagnostics: the capacity proofs of
+//! [`super::presolve`] rendered as `AMS-E008`–`AMS-E011`, plus the QF_BV
+//! bit-width overflow check (E012) and the utilization warning (W004).
+//! Every error here is a *necessary* condition — a flagged design is
+//! provably unsatisfiable, never merely suspicious.
 
+use super::presolve::PresolveConflict;
 use crate::config::PlacerConfig;
-use crate::encode::region::{dimension_candidates, region_margins};
-use crate::power::PowerPlan;
+use crate::ir::{ConstraintFamily, Provenance};
 use crate::scale::{bits_for, ScaleInfo};
-use ams_netlist::{Design, DiagCode, Diagnostic, LintReport};
-
-/// The per-region candidate context shared by several checks.
-struct RegionGeometry {
-    name: String,
-    /// Eq. 4–5 candidates `(w, h)` in scaled units.
-    candidates: Vec<(u32, u32)>,
-    /// Total margins (edge reservation + extensions) per side, scaled.
-    margins: (u64, u64, u64, u64),
-}
-
-fn region_geometry(
-    design: &Design,
-    config: &PlacerConfig,
-    scale: &ScaleInfo,
-) -> Vec<RegionGeometry> {
-    let die_w = u64::from(scale.scaled_w);
-    let die_h = u64::from(scale.scaled_h);
-    design
-        .region_ids()
-        .map(|rid| {
-            let ri = rid.index();
-            let (ex, ey) = scale.region_edge[ri];
-            let rm = region_margins(design, scale, config, rid);
-            let (ml, mr, mb, mt) = (
-                u64::from(ex + rm.left),
-                u64::from(ex + rm.right),
-                u64::from(ey + rm.bottom),
-                u64::from(ey + rm.top),
-            );
-            let min_w = design
-                .cells_in_region(rid)
-                .map(|c| scale.width_of(c))
-                .max()
-                .unwrap_or(1);
-            let min_h = design
-                .cells_in_region(rid)
-                .map(|c| scale.height_of(c))
-                .max()
-                .unwrap_or(1);
-            let max_w = (die_w.saturating_sub(ml + mr)) as u32;
-            let max_h = (die_h.saturating_sub(mb + mt)) as u32;
-            RegionGeometry {
-                name: design.region(rid).name.clone(),
-                candidates: dimension_candidates(
-                    scale.region_target[ri],
-                    min_w,
-                    min_h,
-                    max_w,
-                    max_h,
-                ),
-                margins: (ml, mr, mb, mt),
-            }
-        })
-        .collect()
-}
+use ams_netlist::{Design, DiagCode, Diagnostic, LintReport, RegionId};
 
 pub(crate) fn check(
     design: &Design,
     config: &PlacerConfig,
     scale: &ScaleInfo,
-    plan: &PowerPlan,
+    proofs: &[PresolveConflict],
     report: &mut LintReport,
 ) {
-    let geoms = region_geometry(design, config, scale);
-    check_region_candidates(scale, &geoms, report);
-    check_die_capacity(scale, &geoms, report);
-    check_power_bands(design, scale, plan, &geoms, report);
+    for proof in proofs {
+        if let Some(d) = render(design, proof) {
+            report.push(d);
+        }
+    }
     check_bit_widths(design, config, scale, report);
     check_utilization(design, report);
 }
 
-/// `AMS-E008`: the Eq. 5 disjunction would be empty — exactly the condition
-/// under which [`crate::encode::region::assert_regions`] panics.
-fn check_region_candidates(scale: &ScaleInfo, geoms: &[RegionGeometry], report: &mut LintReport) {
-    for (ri, g) in geoms.iter().enumerate() {
-        if g.candidates.is_empty() {
-            report.push(
-                Diagnostic::new(
-                    DiagCode::RegionInfeasible,
-                    format!(
-                        "region '{}' has no feasible dimensions: target area {} (scaled) \
-                         cannot fit between its widest/tallest cell and the {}x{} die \
-                         minus its margins",
-                        g.name, scale.region_target[ri], scale.scaled_w, scale.scaled_h
-                    ),
-                )
-                .entity(&g.name)
-                .suggest(
-                    "raise die_slack, lower the region or global utilization, or shrink \
-                     the region's edge reservation",
-                ),
-            );
-        }
-    }
-}
-
-/// `AMS-E009`: regions are disjoint rectangles, so the sum of their minimum
-/// footprints (candidate area plus margin strips) must fit the die.
-fn check_die_capacity(scale: &ScaleInfo, geoms: &[RegionGeometry], report: &mut LintReport) {
-    let die = u64::from(scale.scaled_w) * u64::from(scale.scaled_h);
-    let mut need = 0u64;
-    for g in geoms {
-        let (ml, mr, mb, mt) = g.margins;
-        let footprint = g
-            .candidates
-            .iter()
-            .map(|&(w, h)| (u64::from(w) + ml + mr) * (u64::from(h) + mb + mt))
-            .min();
-        match footprint {
-            Some(f) => need += f,
-            None => return, // E008 already reported; aggregate check is moot
-        }
-    }
-    if need > die {
-        report.push(
-            Diagnostic::new(
-                DiagCode::DieOverflow,
-                format!(
-                    "the regions' minimum footprints need {need} scaled sites but the die \
-                     offers only {die} ({}x{})",
-                    scale.scaled_w, scale.scaled_h
-                ),
+/// Renders one capacity proof under its lint code: region candidates
+/// (E008), die area (E009), power-band stacking (E010), and per-cell or
+/// aggregate-window pin counts (E011). Symmetry parity has no lint code;
+/// the placer's presolve fast path reports it.
+fn render(design: &Design, proof: &PresolveConflict) -> Option<Diagnostic> {
+    use ConstraintFamily::{CoreGeometry, PinDensity, PowerAbutment};
+    let at = |code, kind: &str, name: &str| {
+        Diagnostic::new(code, format!("{} ({kind} '{name}')", proof.detail)).entity(name)
+    };
+    let region = |r: RegionId| design.region(r).name.as_str();
+    let diagnostic = match (proof.family, proof.site) {
+        (CoreGeometry, Provenance::Region(r)) => {
+            at(DiagCode::RegionInfeasible, "region", region(r)).suggest(
+                "raise die_slack, lower the region or global utilization, or shrink the \
+                 region's edge reservation",
             )
-            .entities(geoms.iter().map(|g| g.name.clone()))
+        }
+        (CoreGeometry, _) => Diagnostic::new(DiagCode::DieOverflow, proof.detail.clone())
+            .entities(design.regions().iter().map(|r| r.name.clone()))
             .suggest("raise die_slack or lower utilization to grow the die"),
-        );
-    }
-}
-
-/// `AMS-E010`: within a region, each power group occupies a band of full
-/// rows (Eq. 12). For some candidate `(w, h)` the stacked band heights
-/// `Σ_g ceil(area_g / w) · row_h` must fit `h`; if no candidate admits the
-/// stack, the region is unsatisfiable.
-fn check_power_bands(
-    design: &Design,
-    scale: &ScaleInfo,
-    plan: &PowerPlan,
-    geoms: &[RegionGeometry],
-    report: &mut LintReport,
-) {
-    for p in &plan.regions {
-        let ri = p.region.index();
-        let g = &geoms[ri];
-        if g.candidates.is_empty() {
-            continue;
+        (PowerAbutment, Provenance::PowerRegion(r)) => at(
+            DiagCode::PowerRowOverflow,
+            "power bands of region",
+            region(r),
+        )
+        .suggest(
+            "lower the region utilization (taller candidates) or reduce the number of \
+             power groups in the region",
+        ),
+        (PinDensity, Provenance::Cell(c)) => {
+            at(DiagCode::PinDensityInfeasible, "cell", &design.cell(c).name).suggest(
+                "raise lambda to at least the cell's pin count, or use the auto threshold \
+                 (lambda = None)",
+            )
         }
-        let row_h = u64::from(
-            design
-                .cells_in_region(p.region)
-                .map(|c| scale.height_of(c))
-                .max()
-                .unwrap_or(1),
-        );
-        // Scaled cell area per band, in plan order.
-        let band_area: Vec<u64> = p
-            .bands
-            .iter()
-            .map(|&pg| {
-                design
-                    .cells_in_region(p.region)
-                    .filter(|&c| design.cell(c).power_group == pg)
-                    .map(|c| u64::from(scale.width_of(c)) * u64::from(scale.height_of(c)))
-                    .sum()
-            })
-            .collect();
-        let fits = g.candidates.iter().any(|&(w, h)| {
-            let needed: u64 = band_area
-                .iter()
-                .map(|&a| a.div_ceil(u64::from(w)) * row_h)
-                .sum();
-            needed <= u64::from(h)
-        });
-        if !fits {
-            let names: Vec<String> = p
-                .bands
-                .iter()
-                .map(|&pg| design.power_groups()[pg.index()].name.clone())
-                .collect();
-            report.push(
-                Diagnostic::new(
-                    DiagCode::PowerRowOverflow,
-                    format!(
-                        "region '{}' must stack {} power bands ({}) in disjoint full rows, \
-                         but no Eq. 5 dimension candidate is tall enough for the stack",
-                        g.name,
-                        p.bands.len(),
-                        names.join(", ")
-                    ),
-                )
-                .entity(&g.name)
-                .entities(names)
-                .suggest(
-                    "lower the region utilization (taller candidates) or reduce the \
-                     number of power groups in the region",
-                ),
-            );
-        }
-    }
+        (PinDensity, _) => Diagnostic::new(DiagCode::PinDensityInfeasible, proof.detail.clone())
+            .suggest("raise lambda, or use the auto threshold (lambda = None)"),
+        _ => return None,
+    };
+    Some(diagnostic)
 }
 
 /// `AMS-E012`: the QF_BV encoding caps terms at 64 bits; oversized die

@@ -1,14 +1,29 @@
 //! Configuration robustness checks: non-finite or degenerate optimization
 //! and supervision parameters that would make a solve meaningless (or
 //! never-ending), reported with stable codes instead of failing deep in
-//! the encode or solve phases.
+//! the encode or solve phases, plus the sparse-window hint.
 
 use crate::config::PlacerConfig;
 use ams_netlist::{DiagCode, Diagnostic, LintReport};
 use std::time::Duration;
 
-/// Lints the placer configuration itself (E015–E018).
+/// Lints the placer configuration itself (E015–E018, H001).
 pub(super) fn check(config: &PlacerConfig, report: &mut LintReport) {
+    if let Some(pd) = &config.pin_density {
+        if pd.stride_x > pd.beta_x || pd.stride_y > pd.beta_y {
+            report.push(
+                Diagnostic::new(
+                    DiagCode::SparseDensityWindows,
+                    format!(
+                        "pin-density stride ({}, {}) exceeds the window size ({}, {}); \
+                         strips between windows go unchecked",
+                        pd.stride_x, pd.stride_y, pd.beta_x, pd.beta_y
+                    ),
+                )
+                .suggest("keep stride at or below the window size for full coverage"),
+            );
+        }
+    }
     let o = &config.optimize;
     if !(0.0..=1.0).contains(&o.freeze_fraction) {
         report.push(

@@ -15,6 +15,7 @@
 
 use crate::config::PlacerConfig;
 use crate::encode;
+use crate::encode::region::{region_bounds, region_margins};
 use crate::ir::{conflict_families, ConstraintFamily};
 use crate::power::PowerPlan;
 use crate::scale::ScaleInfo;
@@ -42,35 +43,17 @@ pub enum UnsatOutcome {
 /// from attribution. The first-solve conflict budget of `config.optimize`
 /// applies.
 pub fn explain_unsat(design: &Design, config: &PlacerConfig) -> UnsatOutcome {
-    let plan = if config.toggles.power_abutment {
-        PowerPlan::analyze(design)
-    } else {
-        PowerPlan::default()
-    };
+    let plan = PowerPlan::for_config(design, config);
     let scale = ScaleInfo::compute(design, config);
 
     // The region encoder panics on an empty Eq. 5 candidate set; that case
     // is a pure core-geometry conflict, already reportable without solving.
-    for (ri, rid) in design.region_ids().enumerate() {
-        let (ex, ey) = scale.region_edge[ri];
-        let rm = encode::region::region_margins(design, &scale, config, rid);
-        let min_w = design
-            .cells_in_region(rid)
-            .map(|c| scale.width_of(c))
-            .max()
-            .unwrap_or(1);
-        let min_h = design
-            .cells_in_region(rid)
-            .map(|c| scale.height_of(c))
-            .max()
-            .unwrap_or(1);
-        let max_w = scale.scaled_w.saturating_sub(2 * ex + rm.left + rm.right);
-        let max_h = scale.scaled_h.saturating_sub(2 * ey + rm.bottom + rm.top);
-        if encode::region::dimension_candidates(scale.region_target[ri], min_w, min_h, max_w, max_h)
-            .is_empty()
-        {
-            return UnsatOutcome::Conflict(vec![ConstraintFamily::CoreGeometry]);
-        }
+    let no_candidates = design.region_ids().any(|r| {
+        let ext = region_margins(design, &scale, config, r);
+        region_bounds(design, &scale, r, ext).candidates.is_empty()
+    });
+    if no_candidates {
+        return UnsatOutcome::Conflict(vec![ConstraintFamily::CoreGeometry]);
     }
 
     let mut smt = Smt::new();

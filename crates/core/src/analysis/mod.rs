@@ -8,6 +8,8 @@
 //! provable unsatisfiability or broken references — [`crate::Placer`]
 //! refuses to encode such designs ([`crate::PlaceError::Lint`]), turning
 //! late solver UNSATs and encode panics into early, actionable reports.
+//! The linter proves nothing geometric itself: it renders the capacity
+//! proofs of [`presolve`] as `AMS-E008`–`AMS-E011`.
 //!
 //! When the linter is clean but the solver still answers UNSAT, the
 //! second stage ([`explain_unsat`]) solves the shared constraint IR
@@ -16,7 +18,6 @@
 
 mod capacity;
 mod configcheck;
-mod density;
 mod explain;
 pub mod presolve;
 mod structure;
@@ -28,6 +29,7 @@ use crate::config::PlacerConfig;
 use crate::power::PowerPlan;
 use crate::scale::ScaleInfo;
 use ams_netlist::{ConstraintSet, Design, LintReport};
+use presolve::PresolveConflict;
 
 /// Lints a design's own constraint set under a configuration.
 ///
@@ -49,22 +51,30 @@ pub fn lint(design: &Design, config: &PlacerConfig) -> LintReport {
 /// The structural checks run on `constraints` — which may differ from the
 /// design's own set, e.g. a candidate set the
 /// [`ams_netlist::DesignBuilder`] would reject — while the geometric
-/// capacity checks use the design as built.
+/// capacity proofs use the design as built.
 pub fn lint_with(
     design: &Design,
     constraints: &ConstraintSet,
     config: &PlacerConfig,
 ) -> LintReport {
+    let scale = ScaleInfo::compute(design, config);
+    let plan = PowerPlan::for_config(design, config);
+    let proofs = presolve::capacity_proofs(design, config, &scale, &plan);
+    lint_report(design, constraints, config, &scale, &proofs)
+}
+
+/// The linter over precomputed scaling and capacity proofs — the placer's
+/// entry, which computes both once for its lint gate and presolve.
+pub(crate) fn lint_report(
+    design: &Design,
+    constraints: &ConstraintSet,
+    config: &PlacerConfig,
+    scale: &ScaleInfo,
+    proofs: &[PresolveConflict],
+) -> LintReport {
     let mut report = LintReport::new();
     configcheck::check(config, &mut report);
     structure::check(design, constraints, &mut report);
-    let scale = ScaleInfo::compute(design, config);
-    let plan = if config.toggles.power_abutment {
-        PowerPlan::analyze(design)
-    } else {
-        PowerPlan::default()
-    };
-    capacity::check(design, config, &scale, &plan, &mut report);
-    density::check(design, config, &scale, &mut report);
+    capacity::check(design, config, scale, proofs, &mut report);
     report
 }

@@ -1,141 +1,162 @@
-//! Capacity/counting proofs: necessary conditions checkable in closed form.
+//! Capacity/counting proofs: the one geometric prover.
 //!
-//! Each check derives a counting bound every model must satisfy; a
-//! violation is therefore a proof of infeasibility, attributed to the
-//! constraint family and provenance site it was derived from. All bounds
-//! are taken at zero extension margins, so a verdict here survives the
-//! recovery ladder's margin relaxations (the placer re-checks per rung
-//! because the pin-density threshold itself can be raised).
+//! Each check derives a counting bound every model must satisfy, so a
+//! violation is a proof of infeasibility, attributed to the constraint
+//! family and provenance site it was derived from. The linter renders
+//! these proofs as its `AMS-E008`–`AMS-E011` diagnostics; the placer's
+//! presolve fast path returns the first one as an infeasibility verdict.
+//!
+//! Region bounds are taken at the configuration's own extension margins,
+//! so every proof reasons about exactly the bounds the encoder asserts.
+//! Recovery rungs change the margins and λ_th, so the placer re-checks at
+//! the top of every rung.
 
 use super::PresolveConflict;
 use crate::config::PlacerConfig;
 use crate::encode::pin_density::{resolve_lambda, window_origins};
-use crate::encode::region::dimension_candidates;
+use crate::encode::region::{region_bounds, region_margins, RegionBounds};
 use crate::ir::{ConstraintFamily, Provenance};
 use crate::power::PowerPlan;
 use crate::scale::ScaleInfo;
 use ams_netlist::{Design, RegionId, SymmetryAxis};
+use std::cmp::Reverse;
 
-/// Runs every counting proof; the first violation wins.
+/// The first failed proof, if any (see [`proofs`] for the order).
 pub(crate) fn check(
     design: &Design,
     config: &PlacerConfig,
     scale: &ScaleInfo,
     plan: &PowerPlan,
 ) -> Result<(), PresolveConflict> {
-    check_die_area(design, scale)?;
-    check_pin_density(design, config, scale)?;
-    if config.toggles.symmetry {
-        check_symmetry_parity(design, scale)?;
+    match proofs(design, config, scale, plan).into_iter().next() {
+        Some(c) => Err(c),
+        None => Ok(()),
     }
-    if config.toggles.power_abutment {
-        check_power_stacking(design, scale, plan)?;
-    }
-    Ok(())
 }
 
-/// Eq. 4–5 candidates of a region at zero extension margins.
-fn zero_margin_candidates(
-    design: &Design,
-    scale: &ScaleInfo,
-    ri: usize,
-) -> Result<Vec<(u32, u32)>, PresolveConflict> {
-    let rid = RegionId::from_index(ri);
-    let (ex, ey) = scale.region_edge[ri];
-    let min_w = design
-        .cells_in_region(rid)
-        .map(|c| scale.width_of(c))
-        .max()
-        .unwrap_or(1);
-    let min_h = design
-        .cells_in_region(rid)
-        .map(|c| scale.height_of(c))
-        .max()
-        .unwrap_or(1);
-    let max_w = u64::from(scale.scaled_w).saturating_sub(2 * u64::from(ex)) as u32;
-    let max_h = u64::from(scale.scaled_h).saturating_sub(2 * u64::from(ey)) as u32;
-    let cands = dimension_candidates(scale.region_target[ri], min_w, min_h, max_w, max_h);
-    if cands.is_empty() {
-        return Err(PresolveConflict::capacity(
-            ConstraintFamily::CoreGeometry,
-            Provenance::Region(rid),
-            format!(
-                "no feasible dimension candidates for target area {}",
-                scale.region_target[ri]
-            ),
-        ));
-    }
-    Ok(cands)
-}
-
-/// Area pigeonhole: regions inflated by their edge reservations are
-/// pairwise disjoint and inside the die (Eq. 6 separates regions by the
-/// *sum* of both reservations), so the sum of minimal inflated footprints
-/// must fit the die area.
-fn check_die_area(design: &Design, scale: &ScaleInfo) -> Result<(), PresolveConflict> {
-    let die = u64::from(scale.scaled_w) * u64::from(scale.scaled_h);
-    let mut need = 0u64;
-    for ri in 0..design.regions().len() {
-        let (ex, ey) = scale.region_edge[ri];
-        let cands = zero_margin_candidates(design, scale, ri)?;
-        need += cands
-            .iter()
-            .map(|&(w, h)| (u64::from(w) + 2 * u64::from(ex)) * (u64::from(h) + 2 * u64::from(ey)))
-            .min()
-            .expect("nonempty candidates");
-    }
-    if need > die {
-        return Err(PresolveConflict::capacity(
-            ConstraintFamily::CoreGeometry,
-            Provenance::Design,
-            format!("region footprints need at least {need} scaled sites but the die offers {die}"),
-        ));
-    }
-    Ok(())
-}
-
-/// Window-counting proofs (Eq. 13–14). Both need *coverage* — stride no
-/// larger than the (die-clamped) window, so every cell overlaps at least
-/// one check window; [`window_origins`] always includes the final origin.
-///
-/// * Per cell: a cell contributes every pin to each window it overlaps, so
-///   `|P(v)| > λ_th` dooms whichever window ends up over it.
-/// * Globally: summing the per-window bound over all windows gives
-///   `Σ |P(v)| ≤ λ_th · #windows` — total pins beyond that cannot fit.
-fn check_pin_density(
+/// Runs every counting proof and returns each failure, in a fixed order:
+/// region candidates, die area, pin density (per cell, then aggregate),
+/// symmetry parity, power stacking.
+pub(crate) fn proofs(
     design: &Design,
     config: &PlacerConfig,
     scale: &ScaleInfo,
-) -> Result<(), PresolveConflict> {
+    plan: &PowerPlan,
+) -> Vec<PresolveConflict> {
+    let regions: Vec<RegionBounds> = design
+        .region_ids()
+        .map(|r| region_bounds(design, scale, r, region_margins(design, scale, config, r)))
+        .collect();
+    let mut proofs = region_candidates(scale, &regions);
+    proofs.extend(die_area(scale, &regions));
+    proofs.extend(pin_density(design, config, scale));
+    if config.toggles.symmetry {
+        proofs.extend(symmetry_parity(design, scale));
+    }
+    if config.toggles.power_abutment {
+        proofs.extend(power_stacking(design, scale, plan, &regions));
+    }
+    proofs
+}
+
+/// Eq. 4–5: a region whose target area fits no dimension candidate
+/// empties the Eq. 5 disjunction.
+fn region_candidates(scale: &ScaleInfo, regions: &[RegionBounds]) -> Vec<PresolveConflict> {
+    (0..regions.len())
+        .filter(|&ri| regions[ri].candidates.is_empty())
+        .map(|ri| {
+            PresolveConflict::capacity(
+                ConstraintFamily::CoreGeometry,
+                Provenance::Region(RegionId::from_index(ri)),
+                format!(
+                    "no feasible dimensions: target area {} (scaled) cannot fit between \
+                     its widest/tallest cell and the {}x{} die minus its margins",
+                    scale.region_target[ri], scale.scaled_w, scale.scaled_h
+                ),
+            )
+        })
+        .collect()
+}
+
+/// Area pigeonhole: regions inflated by their edge reservations are
+/// pairwise disjoint (Eq. 6 separates regions by the *sum* of both
+/// reservations). Extension margins keep a region off the die edge, not
+/// off other regions, so every inflated region lies inside the die less
+/// the smallest extension margin on each side, and the sum of their
+/// minimal footprints must fit there. Moot (`None`) while some region has
+/// no candidates at all.
+fn die_area(scale: &ScaleInfo, regions: &[RegionBounds]) -> Option<PresolveConflict> {
+    let mut need = 0u64;
+    let mut shared = [u32::MAX; 4];
+    for (b, &(ex, ey)) in regions.iter().zip(&scale.region_edge) {
+        let m = b.margins;
+        let ext = [m.left - ex, m.right - ex, m.bottom - ey, m.top - ey];
+        for (s, e) in shared.iter_mut().zip(ext) {
+            *s = (*s).min(e);
+        }
+        let (ex, ey) = (u64::from(ex), u64::from(ey));
+        need += b
+            .candidates
+            .iter()
+            .map(|&(w, h)| (u64::from(w) + 2 * ex) * (u64::from(h) + 2 * ey))
+            .min()?;
+    }
+    let [left, right, bottom, top] = shared.map(u64::from);
+    let room = u64::from(scale.scaled_w).saturating_sub(left + right)
+        * u64::from(scale.scaled_h).saturating_sub(bottom + top);
+    (need > room).then(|| {
+        PresolveConflict::capacity(
+            ConstraintFamily::CoreGeometry,
+            Provenance::Design,
+            format!(
+                "region footprints need at least {need} scaled sites but the {}x{} die \
+                 offers {room} inside the margins every region keeps",
+                scale.scaled_w, scale.scaled_h
+            ),
+        )
+    })
+}
+
+/// Window-counting proofs (Eq. 13–14). Both need *coverage* — a nonempty
+/// window and a stride no larger than it, so every cell overlaps at least
+/// one check window; [`window_origins`] always includes the final origin.
+///
+/// * Per cell: a cell contributes every pin to each window it overlaps, so
+///   `|P(v)| > λ_th` dooms whichever window ends up over it. The cell with
+///   the most pins is cited.
+/// * Globally: summing the per-window bound over all windows gives
+///   `Σ |P(v)| ≤ λ_th · #windows` — total pins beyond that cannot fit.
+fn pin_density(design: &Design, config: &PlacerConfig, scale: &ScaleInfo) -> Vec<PresolveConflict> {
+    let mut proofs = Vec::new();
     let Some(pd) = &config.pin_density else {
-        return Ok(());
+        return proofs;
     };
     let beta_x = pd.beta_x.min(scale.scaled_w);
     let beta_y = pd.beta_y.min(scale.scaled_h);
-    if pd.stride_x > beta_x || pd.stride_y > beta_y {
-        // Striding past the window leaves uncovered gaps: a cell could sit
-        // between windows, so neither counting argument applies.
-        return Ok(());
+    if beta_x == 0 || beta_y == 0 || pd.stride_x > beta_x || pd.stride_y > beta_y {
+        // An empty window, or a stride past the window, leaves gaps: a
+        // cell could sit between windows, so neither argument applies.
+        return proofs;
     }
     let lambda = resolve_lambda(design, scale, pd);
-    for c in design.cell_ids() {
-        let pins = design.cell(c).pin_count() as u64;
-        if pins > lambda {
-            return Err(PresolveConflict::capacity(
-                ConstraintFamily::PinDensity,
-                Provenance::Cell(c),
-                format!(
-                    "cell carries {pins} pins but every {beta_x}x{beta_y} window admits \
-                     at most λ_th = {lambda}"
-                ),
-            ));
-        }
+    let pins = |c| design.cell(c).pin_count() as u64;
+    let densest = design.cell_ids().max_by_key(|&c| (pins(c), Reverse(c)));
+    if let Some(c) = densest.filter(|&c| pins(c) > lambda) {
+        proofs.push(PresolveConflict::capacity(
+            ConstraintFamily::PinDensity,
+            Provenance::Cell(c),
+            format!(
+                "cell carries {} pins but every {beta_x}x{beta_y} window admits at most \
+                 λ_th = {lambda}",
+                pins(c)
+            ),
+        ));
     }
     let windows = window_origins(scale.scaled_w, beta_x, pd.stride_x).len() as u64
         * window_origins(scale.scaled_h, beta_y, pd.stride_y).len() as u64;
-    let total: u64 = design.cells().iter().map(|c| c.pin_count() as u64).sum();
+    let total: u64 = design.cell_ids().map(pins).sum();
     if total > lambda.saturating_mul(windows) {
-        return Err(PresolveConflict::capacity(
+        proofs.push(PresolveConflict::capacity(
             ConstraintFamily::PinDensity,
             Provenance::Design,
             format!(
@@ -144,24 +165,30 @@ fn check_pin_density(
             ),
         ));
     }
-    Ok(())
+    proofs
 }
 
 /// Symmetry parity: a self-symmetric cell pins its axis parity via
 /// `2·x + w = axis2`, so two self-symmetric cells on the same (shared)
 /// axis with different width parities contradict (Eq. 8). Horizontal
 /// groups constrain heights instead.
-fn check_symmetry_parity(design: &Design, scale: &ScaleInfo) -> Result<(), PresolveConflict> {
+///
+/// The lint gate runs on the proofs, so they must survive designs that
+/// skipped builder validation: an axis link that does not point to an
+/// earlier group (`AMS-E003`) ends the walk to the root, and a dangling
+/// cell (`AMS-E002`) pins nothing.
+fn symmetry_parity(design: &Design, scale: &ScaleInfo) -> Option<PresolveConflict> {
     let groups = &design.constraints().symmetry;
+    let ncells = design.cells().len();
     // Per resolved axis root: the parity pinned so far and who pinned it.
     let mut pinned: Vec<Option<(u64, usize)>> = vec![None; groups.len()];
     for (gi, g) in groups.iter().enumerate() {
         let mut root = gi;
-        while let Some(parent) = groups[root].share_axis_with {
+        while let Some(parent) = groups[root].share_axis_with.filter(|&p| p < root) {
             root = parent;
         }
         for p in &g.pairs {
-            if p.b.is_some() {
+            if p.b.is_some() || p.a.index() >= ncells {
                 continue;
             }
             let dim = match g.axis {
@@ -171,7 +198,7 @@ fn check_symmetry_parity(design: &Design, scale: &ScaleInfo) -> Result<(), Preso
             match pinned[root] {
                 None => pinned[root] = Some((dim % 2, gi)),
                 Some((parity, by)) if parity != dim % 2 => {
-                    return Err(PresolveConflict::capacity(
+                    return Some(PresolveConflict::capacity(
                         ConstraintFamily::Symmetry,
                         Provenance::SymmetryGroup(gi),
                         format!(
@@ -186,50 +213,58 @@ fn check_symmetry_parity(design: &Design, scale: &ScaleInfo) -> Result<(), Preso
             }
         }
     }
-    Ok(())
+    None
 }
 
 /// Power-band stacking: a mixed region must be at least as tall as the sum
 /// of its bands' tallest cells (Eq. 12 stacks disjoint full-height bands),
-/// but no Eq. 5 candidate may be that tall.
-fn check_power_stacking(
+/// but no Eq. 5 candidate may be that tall. Regions without candidates
+/// are already refuted by [`region_candidates`].
+fn power_stacking(
     design: &Design,
     scale: &ScaleInfo,
     plan: &PowerPlan,
-) -> Result<(), PresolveConflict> {
-    for p in &plan.regions {
-        let ri = p.region.index();
-        let cands = zero_margin_candidates(design, scale, ri)?;
-        let tallest = cands
-            .iter()
-            .map(|&(_, h)| u64::from(h))
-            .max()
-            .expect("nonempty candidates");
-        let need: u64 = p
-            .bands
-            .iter()
-            .map(|&g| {
-                design
-                    .cells_in_region(p.region)
-                    .filter(|&c| design.cell(c).power_group == g)
-                    .map(|c| u64::from(scale.height_of(c)))
-                    .max()
-                    .unwrap_or(0)
+    regions: &[RegionBounds],
+) -> Vec<PresolveConflict> {
+    plan.regions
+        .iter()
+        .filter_map(|p| {
+            let tallest = regions[p.region.index()]
+                .candidates
+                .iter()
+                .map(|&(_, h)| u64::from(h))
+                .max()?;
+            let need: u64 = p
+                .bands
+                .iter()
+                .map(|&g| {
+                    design
+                        .cells_in_region(p.region)
+                        .filter(|&c| design.cell(c).power_group == g)
+                        .map(|c| u64::from(scale.height_of(c)))
+                        .max()
+                        .unwrap_or(0)
+                })
+                .sum();
+            (need > tallest).then(|| {
+                let names: Vec<&str> = p
+                    .bands
+                    .iter()
+                    .map(|&g| design.power_groups()[g.index()].name.as_str())
+                    .collect();
+                PresolveConflict::capacity(
+                    ConstraintFamily::PowerAbutment,
+                    Provenance::PowerRegion(p.region),
+                    format!(
+                        "stacking {} power bands ({}) needs height {need} but the tallest \
+                         region candidate is {tallest}",
+                        p.bands.len(),
+                        names.join(", ")
+                    ),
+                )
             })
-            .sum();
-        if need > tallest {
-            return Err(PresolveConflict::capacity(
-                ConstraintFamily::PowerAbutment,
-                Provenance::PowerRegion(p.region),
-                format!(
-                    "stacking {} power bands needs height {need} but the tallest region \
-                     candidate is {tallest}",
-                    p.bands.len()
-                ),
-            ));
-        }
-    }
-    Ok(())
+        })
+        .collect()
 }
 
 #[cfg(test)]

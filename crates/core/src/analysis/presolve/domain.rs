@@ -23,7 +23,7 @@
 
 use super::PresolveConflict;
 use crate::config::PlacerConfig;
-use crate::encode::region::dimension_candidates;
+use crate::encode::region::{region_bounds, Margins, RegionBounds};
 use crate::ir::{ConstraintFamily, Provenance};
 use crate::power::PowerPlan;
 use crate::scale::ScaleInfo;
@@ -79,15 +79,6 @@ pub struct Domains {
     pub(crate) power_bounds: Vec<Vec<Interval>>,
 }
 
-/// Per-region static facts: edge reservations and the Eq. 4–5 candidate
-/// set at zero extension margins (a superset of the candidate set under any
-/// recovery-ladder margin scale — see the module docs).
-struct RegionFacts {
-    ex: u64,
-    ey: u64,
-    cands: Vec<(u32, u32)>,
-}
-
 /// Intersects `iv` with `[lo, hi]`; flags `changed` and reports emptiness.
 fn meet(iv: &mut Interval, lo: u64, hi: u64, changed: &mut bool) -> bool {
     let nlo = iv.lo.max(lo);
@@ -131,40 +122,23 @@ pub(crate) fn analyze(
     let die_h = u64::from(scale.scaled_h);
     let nr = design.regions().len();
 
-    let mut facts: Vec<RegionFacts> = Vec::with_capacity(nr);
-    for ri in 0..nr {
-        let rid = RegionId::from_index(ri);
-        let (ex, ey) = scale.region_edge[ri];
-        let min_w = design
-            .cells_in_region(rid)
-            .map(|c| scale.width_of(c))
-            .max()
-            .unwrap_or(1);
-        let min_h = design
-            .cells_in_region(rid)
-            .map(|c| scale.height_of(c))
-            .max()
-            .unwrap_or(1);
-        let max_w = die_w.saturating_sub(2 * u64::from(ex)) as u32;
-        let max_h = die_h.saturating_sub(2 * u64::from(ey)) as u32;
-        let cands = dimension_candidates(scale.region_target[ri], min_w, min_h, max_w, max_h);
-        if cands.is_empty() {
+    // Eq. 4–5 bounds at zero extension margins: a superset of the
+    // candidate set under any recovery-ladder margin scale (module docs).
+    let mut facts: Vec<RegionBounds> = Vec::with_capacity(nr);
+    for rid in design.region_ids() {
+        let bounds = region_bounds(design, scale, rid, Margins::default());
+        if bounds.candidates.is_empty() {
             return Err(PresolveConflict::new(
                 ConstraintFamily::CoreGeometry,
                 Provenance::Region(rid),
                 format!(
-                    "no feasible dimension candidates: target area {} with cells up to \
-                     {min_w}x{min_h} cannot fit a {max_w}x{max_h} bound even at zero \
+                    "no feasible dimension candidates for target area {} even at zero \
                      extension margins",
-                    scale.region_target[ri]
+                    scale.region_target[rid.index()]
                 ),
             ));
         }
-        facts.push(RegionFacts {
-            ex: u64::from(ex),
-            ey: u64::from(ey),
-            cands,
-        });
+        facts.push(bounds);
     }
 
     let mut d = Domains {
@@ -180,11 +154,11 @@ pub(crate) fn analyze(
         region_y: (0..nr).map(|_| Interval::upto(die_h)).collect(),
         region_w: facts
             .iter()
-            .map(|f| interval_over(&f.cands, |&(w, _)| u64::from(w)))
+            .map(|f| interval_over(&f.candidates, |&(w, _)| u64::from(w)))
             .collect(),
         region_h: facts
             .iter()
-            .map(|f| interval_over(&f.cands, |&(_, h)| u64::from(h)))
+            .map(|f| interval_over(&f.candidates, |&(_, h)| u64::from(h)))
             .collect(),
         sym_axis2: design
             .constraints()
@@ -240,7 +214,7 @@ pub(crate) fn analyze(
 fn propagate_regions(
     _design: &Design,
     scale: &ScaleInfo,
-    facts: &[RegionFacts],
+    facts: &[RegionBounds],
     d: &mut Domains,
     changed: &mut bool,
 ) -> Result<(), PresolveConflict> {
@@ -258,7 +232,7 @@ fn propagate_regions(
         // Filter the candidate pairs by the current width/height intervals;
         // the disjunction (Eq. 5) forces the model onto one of them.
         let live: Vec<(u32, u32)> = f
-            .cands
+            .candidates
             .iter()
             .copied()
             .filter(|&(w, h)| {
@@ -281,12 +255,13 @@ fn propagate_regions(
             return Err(conflict("region height"));
         }
         // Placement window with edge reservations (never relaxed).
-        let x_hi = die_w.saturating_sub(f.ex + d.region_w[ri].lo);
-        if !meet(&mut d.region_x[ri], f.ex, x_hi, changed) {
+        let m = f.margins;
+        let x_hi = die_w.saturating_sub(u64::from(m.right) + d.region_w[ri].lo);
+        if !meet(&mut d.region_x[ri], u64::from(m.left), x_hi, changed) {
             return Err(conflict("region x"));
         }
-        let y_hi = die_h.saturating_sub(f.ey + d.region_h[ri].lo);
-        if !meet(&mut d.region_y[ri], f.ey, y_hi, changed) {
+        let y_hi = die_h.saturating_sub(u64::from(m.top) + d.region_h[ri].lo);
+        if !meet(&mut d.region_y[ri], u64::from(m.bottom), y_hi, changed) {
             return Err(conflict("region y"));
         }
     }

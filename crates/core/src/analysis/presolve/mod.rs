@@ -8,12 +8,14 @@
 //!    families over coordinate intervals, run to a fixpoint. The narrowed
 //!    upper bounds feed the variable allocator, which hands out fewer
 //!    bit-vector bits per variable so the lowered CNF shrinks.
-//! 2. **Capacity/counting proofs** (`capacity`) — area pigeonhole,
-//!    pin-density window counting (Eq. 13–14), symmetry parity, and
-//!    power-band stacking. Each is a *necessary* condition: a violation is
-//!    a proof of infeasibility, reported with family + provenance so the
-//!    placer can fail fast (or climb the recovery ladder) without a CDCL
-//!    run.
+//! 2. **Capacity/counting proofs** (`capacity`) — region candidates and
+//!    area pigeonhole (Eq. 4–6), pin-density window counting (Eq. 13–14),
+//!    symmetry parity, and power-band stacking. Each is a *necessary*
+//!    condition: a violation is a proof of infeasibility, reported with
+//!    family + provenance so the placer can fail fast (or climb the
+//!    recovery ladder) without a CDCL run. This pass is the repo's only
+//!    geometric prover: the linter renders its proofs as diagnostics
+//!    ([`crate::analysis::lint`]).
 //! 3. **Lowering well-formedness** (`validate_lowering`) — selector
 //!    discipline after every lower/retire/re-lower, run under
 //!    `debug_assertions` in the placer and as an explicit CI check.
@@ -28,7 +30,7 @@ mod validate;
 
 pub use domain::{Domains, Interval};
 
-pub(crate) use capacity::check as capacity_check;
+pub(crate) use capacity::{check as capacity_check, proofs as capacity_proofs};
 pub(crate) use validate::validate_lowering;
 
 use crate::config::PlacerConfig;
@@ -138,12 +140,9 @@ impl PresolveReport {
 /// without bit-blasting any constraint.
 pub fn presolve(design: &Design, config: &PlacerConfig) -> PresolveReport {
     let scale = ScaleInfo::compute(design, config);
-    let plan = if config.toggles.power_abutment {
-        PowerPlan::analyze(design)
-    } else {
-        PowerPlan::default()
-    };
-    let mut report = presolve_with(design, config, &scale, &plan);
+    let plan = PowerPlan::for_config(design, config);
+    let proofs = capacity::proofs(design, config, &scale, &plan);
+    let mut report = presolve_with(design, config, &scale, &plan, &proofs);
     if config.presolve.domain_pruning {
         if let Some(domains) = &report.domains {
             let mut scratch = Smt::new();
@@ -154,13 +153,15 @@ pub fn presolve(design: &Design, config: &PlacerConfig) -> PresolveReport {
     report
 }
 
-/// Runs the domain and capacity passes against precomputed scaling — the
-/// placer-internal entry, which reuses its own `scale`/`plan`.
+/// Runs the domain pass and reports the capacity `proofs` against
+/// precomputed scaling — the placer-internal entry, which reuses its own
+/// `scale`, `plan` and the proofs its lint gate already rendered.
 pub(crate) fn presolve_with(
     design: &Design,
     config: &PlacerConfig,
     scale: &ScaleInfo,
     plan: &PowerPlan,
+    proofs: &[PresolveConflict],
 ) -> PresolveReport {
     let mut passes = Vec::new();
     let domains = match domain::analyze(design, config, scale, plan) {
@@ -190,20 +191,20 @@ pub(crate) fn presolve_with(
             };
         }
     };
-    match capacity::check(design, config, scale, plan) {
-        Ok(()) => passes.push(PresolvePassStats {
+    match proofs.first() {
+        None => passes.push(PresolvePassStats {
             pass: "capacity",
             verdict: "feasible".into(),
             detail: "area, pin-density, symmetry-parity, and power-stacking proofs passed".into(),
         }),
-        Err(c) => {
+        Some(c) => {
             passes.push(PresolvePassStats {
                 pass: "capacity",
                 verdict: "infeasible".into(),
                 detail: format!("{} ({})", c.detail, c.site),
             });
             return PresolveReport {
-                verdict: PresolveVerdict::Infeasible(c),
+                verdict: PresolveVerdict::Infeasible(c.clone()),
                 vars_saved_bits: 0,
                 passes,
                 domains,

@@ -72,6 +72,58 @@ pub(crate) fn region_margins(
     m
 }
 
+/// A region's Eq. 4–5 bounds: the margin it keeps from each die edge and
+/// the dimensions that fit inside them.
+#[derive(Debug)]
+pub(crate) struct RegionBounds {
+    /// Edge reservation plus extension margin per side, scaled.
+    pub margins: Margins,
+    /// Eq. 4–5 candidates `(w, h)` in scaled units; empty when the target
+    /// area fits none.
+    pub candidates: Vec<(u32, u32)>,
+}
+
+/// The Eq. 4–5 bounds of region `r` under extension margins `ext`: every
+/// candidate is at least as wide and tall as the region's widest and
+/// tallest cell and leaves the edge reservation plus `ext` free on each
+/// side of the die. The encoder, the capacity proofs and the explainer
+/// pass [`region_margins`]; the domain pass passes zero margins so its
+/// bounds hold on every recovery rung.
+pub(crate) fn region_bounds(
+    design: &Design,
+    scale: &ScaleInfo,
+    r: RegionId,
+    ext: Margins,
+) -> RegionBounds {
+    let ri = r.index();
+    let (ex, ey) = scale.region_edge[ri];
+    let margins = Margins {
+        left: ex + ext.left,
+        right: ex + ext.right,
+        bottom: ey + ext.bottom,
+        top: ey + ext.top,
+    };
+    // Minimum side lengths: widest/tallest member cell.
+    let min_w = design
+        .cells_in_region(r)
+        .map(|c| scale.width_of(c))
+        .max()
+        .unwrap_or(1);
+    let min_h = design
+        .cells_in_region(r)
+        .map(|c| scale.height_of(c))
+        .max()
+        .unwrap_or(1);
+    let max_w = u64::from(scale.scaled_w)
+        .saturating_sub(u64::from(margins.left) + u64::from(margins.right)) as u32;
+    let max_h = u64::from(scale.scaled_h)
+        .saturating_sub(u64::from(margins.bottom) + u64::from(margins.top)) as u32;
+    RegionBounds {
+        margins,
+        candidates: dimension_candidates(scale.region_target[ri], min_w, min_h, max_w, max_h),
+    }
+}
+
 /// The Eq. 4–5 candidate dimensions for a region of target area `target`.
 ///
 /// Every returned `(w, h)` is a minimal rectangle: it covers the target
@@ -117,33 +169,22 @@ pub(crate) fn assert_regions(
     let die_w = u64::from(scale.scaled_w);
     let die_h = u64::from(scale.scaled_h);
 
-    for (ri, _r) in design.regions().iter().enumerate() {
-        let rid = RegionId::from_index(ri);
+    for rid in design.region_ids() {
+        let ri = rid.index();
         store.at(Provenance::Region(rid));
-        let (ex, ey) = scale.region_edge[ri];
-        let rm = region_margins(design, scale, config, rid);
+        let ext = region_margins(design, scale, config, rid);
+        let RegionBounds {
+            margins,
+            candidates,
+        } = region_bounds(design, scale, rid, ext);
         let (ml, mr_, mb, mt) = (
-            u64::from(ex + rm.left),
-            u64::from(ex + rm.right),
-            u64::from(ey + rm.bottom),
-            u64::from(ey + rm.top),
+            u64::from(margins.left),
+            u64::from(margins.right),
+            u64::from(margins.bottom),
+            u64::from(margins.top),
         );
-        // Minimum side lengths: widest/tallest member cell.
-        let min_w = design
-            .cells_in_region(rid)
-            .map(|c| scale.width_of(c))
-            .max()
-            .unwrap_or(1);
-        let min_h = design
-            .cells_in_region(rid)
-            .map(|c| scale.height_of(c))
-            .max()
-            .unwrap_or(1);
-        let max_w = (die_w.saturating_sub(ml + mr_)) as u32;
-        let max_h = (die_h.saturating_sub(mb + mt)) as u32;
 
         // Eq. 5: disjunction over the candidate dimensions.
-        let candidates = dimension_candidates(scale.region_target[ri], min_w, min_h, max_w, max_h);
         assert!(
             !candidates.is_empty(),
             "region {ri} has no feasible dimensions; increase die slack"

@@ -26,8 +26,9 @@
 //! late solver UNSAT, and [`analysis::explain_unsat`] attributes genuine
 //! UNSATs to the conflicting constraint families. The [`analysis::presolve`]
 //! analyzer goes further: abstract-interpretation interval domains narrow
-//! variable bit-widths before encoding, and capacity/counting proofs turn
-//! some infeasibilities into provenance-cited verdicts with zero solver
+//! variable bit-widths before encoding, and capacity/counting proofs — the
+//! same proofs the linter reports as its geometric errors — turn some
+//! infeasibilities into provenance-cited verdicts with zero solver
 //! conflicts.
 //!
 //! ## Example

@@ -367,16 +367,27 @@ pub enum WarmReuse {
 /// front half of [`Placer::new`] and the scratch encoding of
 /// [`Placer::rebase`].
 fn encode_fresh(design: &Design, config: &PlacerConfig) -> Result<EncodedDesign, PlaceError> {
-    // Phase 0: pre-solve constraint lint. Every error-severity finding
-    // is a proof of unsatisfiability (or a broken reference that would
-    // panic the encoders), so encoding would be wasted work. Two
-    // exceptions let pin-density infeasibility (AMS-E011) through to
-    // the solver: the recovery ladder repairs exactly that by raising
-    // λ_th, and certify mode wants the *solver's* UNSAT — with its
-    // DRAT certificate — rather than the linter's uncheckable verdict.
-    // Presolve counts too: its capacity pass turns the same condition
-    // into a provenance-cited Infeasible without a CDCL run.
-    let report = crate::analysis::lint(design, config);
+    // Phase 1: power analysis (Fig. 3).
+    let plan = PowerPlan::for_config(design, config);
+
+    // Phase 2: scaling and variable initialization.
+    let scale = ScaleInfo::compute(design, config);
+
+    // Phase 2.5: the capacity proofs — the one geometric prover, shared by
+    // the lint gate and presolve.
+    let proofs = presolve::capacity_proofs(design, config, &scale, &plan);
+
+    // Pre-solve constraint lint. Every error-severity finding is a proof
+    // of unsatisfiability (or a broken reference that would panic the
+    // encoders), so encoding would be wasted work. Two exceptions let
+    // pin-density infeasibility (AMS-E011) through to the solver: the
+    // recovery ladder repairs exactly that by raising λ_th, and certify
+    // mode wants the *solver's* UNSAT — with its DRAT certificate —
+    // rather than the linter's uncheckable verdict. Presolve counts too:
+    // its fast path turns the same proof into a provenance-cited
+    // Infeasible without a CDCL run.
+    let report =
+        crate::analysis::lint_report(design, design.constraints(), config, &scale, &proofs);
     if report.has_errors() {
         let solvable = config.recovery.enabled || config.solver.certify || config.presolve.enabled;
         let recoverable = solvable
@@ -388,26 +399,16 @@ fn encode_fresh(design: &Design, config: &PlacerConfig) -> Result<EncodedDesign,
         }
     }
 
-    // Phase 1: power analysis (Fig. 3).
-    let plan = if config.toggles.power_abutment {
-        PowerPlan::analyze(design)
-    } else {
-        PowerPlan::default()
-    };
-
-    // Phase 2: scaling and variable initialization.
-    let scale = ScaleInfo::compute(design, config);
-
-    // Phase 2.5: static presolve. The domain pass narrows variable
-    // domains (fed into allocation below); its verdict is kept because
-    // it is computed at zero margins and so survives every content-only
-    // recovery rung. Capacity proofs are re-checked per rung instead
-    // (`presolve_fast_path`) since λ_th changes under recovery.
+    // Static presolve. The domain pass narrows variable domains (fed into
+    // allocation below); its verdict is kept because it is computed at
+    // zero margins and so survives every content-only recovery rung.
+    // Capacity proofs are re-checked per rung instead
+    // (`presolve_fast_path`) since λ_th and margins change under recovery.
     let mut presolve_stats: Option<PresolveStats> = None;
     let mut domain_conflict: Option<PresolveConflict> = None;
     let mut domains = None;
     if config.presolve.enabled {
-        let report = presolve::presolve_with(design, config, &scale, &plan);
+        let report = presolve::presolve_with(design, config, &scale, &plan, &proofs);
         if let PresolveVerdict::Infeasible(c) = &report.verdict {
             if c.pass == "domain" {
                 domain_conflict = Some(c.clone());

@@ -5,9 +5,10 @@
 //! and attribute it to the right constraint families.
 
 use ams_netlist::benchmarks::{self, SyntheticParams};
+use ams_netlist::json::Json;
 use ams_netlist::{
     ArrayConstraint, ArrayPattern, CellId, ClusterConstraint, ConstraintSet, Design, DesignBuilder,
-    DiagCode, SymmetryAxis, SymmetryGroup, SymmetryPair,
+    DiagCode, ExtensionConstraint, ExtensionTarget, SymmetryAxis, SymmetryGroup, SymmetryPair,
 };
 use ams_place::analysis::{explain_unsat, lint, lint_with, ConstraintFamily, UnsatOutcome};
 use ams_place::{PinDensityConfig, PlaceError, Placer, PlacerConfig};
@@ -505,4 +506,215 @@ fn explainer_reports_feasible_designs() {
     let design = benchmarks::synthetic(SyntheticParams::default());
     let outcome = explain_unsat(&design, &PlacerConfig::fast());
     assert_eq!(outcome, UnsatOutcome::Feasible);
+}
+
+// --- geometric errors are presolve's capacity proofs --------------------
+
+/// A mixed region with two VDD and two VSS 2x3 cells next to a region with
+/// one 2x2 cell, so the height GCD stays 1 and each band is 3 rows tall.
+fn two_band_design() -> Design {
+    let mut b = DesignBuilder::new("two_bands");
+    let mixed = b.add_region("mixed", 0.9);
+    let other = b.add_region("other", 0.9);
+    let vdd = b.add_power_group("VDD");
+    let vss = b.add_power_group("VSS");
+    let net = b.add_net("n0", 1);
+    for (i, pg) in [vdd, vdd, vss, vss].into_iter().enumerate() {
+        let c = b.add_cell(format!("m{i}"), mixed, 2, 3, pg);
+        b.add_pin(c, "p", Some(net), 0, 0);
+    }
+    let s = b.add_cell("s0", other, 2, 2, vdd);
+    b.add_pin(s, "p", Some(net), 0, 0);
+    b.build().expect("valid design")
+}
+
+#[test]
+fn e010_stays_silent_when_the_bands_fit() {
+    // Under the roomy fast() sizing the two 3-tall bands stack inside a
+    // region candidate: no E010, and the design really places.
+    let design = two_band_design();
+    let cfg = PlacerConfig::fast();
+    let report = lint(&design, &cfg);
+    assert!(!code_of(&report, DiagCode::PowerRowOverflow), "{report}");
+    let placement = Placer::new(&design, cfg)
+        .expect("no geometric lint error")
+        .place()
+        .expect("the bands fit");
+    placement.verify(&design).expect("placement is legal");
+}
+
+#[test]
+fn e011_needs_windows_that_cover_the_die() {
+    // 1x1 windows strided 3 apart in x leave unchecked columns, so a cell
+    // with more pins than λ_th can sit between windows: only the H001
+    // hint fires, and the design places with recovery and presolve off.
+    let mut b = DesignBuilder::new("strided_windows");
+    let r = b.add_region("core", 0.7);
+    let pg = b.add_power_group("VDD");
+    let net = b.add_net("n0", 1);
+    let dense = b.add_cell("dense", r, 2, 2, pg);
+    let mate = b.add_cell("mate", r, 2, 2, pg);
+    for i in 0..3 {
+        b.add_pin(
+            dense,
+            format!("p{i}"),
+            (i == 0).then_some(net),
+            i % 2,
+            i / 2,
+        );
+    }
+    b.add_pin(mate, "p", Some(net), 0, 0);
+    let design = b.build().expect("valid design");
+
+    let mut cfg = PlacerConfig {
+        pin_density: Some(PinDensityConfig {
+            beta_x: 1,
+            beta_y: 1,
+            stride_x: 3,
+            stride_y: 1,
+            lambda: Some(1),
+            ..PinDensityConfig::default()
+        }),
+        ..PlacerConfig::fast()
+    };
+    cfg.recovery.enabled = false;
+    cfg.presolve.enabled = false;
+    let report = lint(&design, &cfg);
+    let codes: Vec<DiagCode> = report.diagnostics.iter().map(|d| d.code).collect();
+    assert_eq!(codes, vec![DiagCode::SparseDensityWindows], "{report}");
+    let placement = Placer::new(&design, cfg)
+        .expect("no lint error")
+        .place()
+        .expect("the dense cell fits between windows");
+    placement.verify(&design).expect("placement is legal");
+}
+
+#[test]
+fn e009_regions_overflow_the_die_inside_their_margins() {
+    // Each region fits the die on its own, but both must also keep a
+    // 1-grid extension margin from every die edge: their footprints cannot
+    // share what is left.
+    let mut b = DesignBuilder::new("e009");
+    let pg = b.add_power_group("VDD");
+    let net = b.add_net("n0", 1);
+    for r in 0..2 {
+        let region = b.add_region(format!("r{r}"), 0.9);
+        for i in 0..6 {
+            let c = b.add_cell(format!("c{r}_{i}"), region, 2, 2, pg);
+            b.add_pin(c, "p", Some(net), 0, 0);
+        }
+        b.add_extension(ExtensionConstraint {
+            target: ExtensionTarget::Region(region),
+            left: 1,
+            right: 1,
+            bottom: 1,
+            top: 1,
+        });
+    }
+    let design = b.build().expect("valid design");
+    let cfg = PlacerConfig {
+        die_slack: 1.0,
+        utilization: 0.9,
+        ..PlacerConfig::default()
+    };
+    let report = lint(&design, &cfg);
+    assert!(code_of(&report, DiagCode::DieOverflow), "{report}");
+    assert!(!code_of(&report, DiagCode::RegionInfeasible), "{report}");
+    match Placer::new(&design, cfg.clone()) {
+        Err(PlaceError::Lint(r)) => assert!(r.has_code(DiagCode::DieOverflow)),
+        Err(other) => panic!("expected lint rejection, got {other:?}"),
+        Ok(_) => panic!("expected lint rejection, got an encoder"),
+    }
+    // The claim is honest: the solver finds the core geometry UNSAT too.
+    match explain_unsat(&design, &cfg) {
+        UnsatOutcome::Conflict(families) => {
+            assert!(
+                families.contains(&ConstraintFamily::CoreGeometry),
+                "core geometry should be implicated, got {families:?}"
+            );
+        }
+        other => panic!("expected a conflict, got {other:?}"),
+    }
+}
+
+// --- designs that skipped builder validation ----------------------------
+
+/// Rewrites the symmetry groups of a design's JSON.
+type GroupEdit = fn(&mut [Json]);
+
+/// Two groups, one self-symmetric cell each, round-tripped through JSON
+/// with `edit` applied to the symmetry groups in between.
+/// `Design::from_json` does not validate, so a request can carry
+/// constraints the builder would refuse straight to the lint gate.
+fn unvalidated_design(edit: GroupEdit) -> Design {
+    let mut b = DesignBuilder::new("from_json");
+    let r = b.add_region("core", 0.7);
+    let pg = b.add_power_group("VDD");
+    let net = b.add_net("n0", 1);
+    for i in 0..2 {
+        let c = b.add_cell(format!("c{i}"), r, 4, 2, pg);
+        b.add_pin(c, "p", Some(net), 0, 0);
+        b.add_symmetry(SymmetryGroup {
+            name: format!("g{i}"),
+            axis: SymmetryAxis::Vertical,
+            pairs: vec![SymmetryPair::self_symmetric(c)],
+            share_axis_with: None,
+        });
+    }
+    let valid = b.build().expect("valid design");
+    let mut json = Json::parse(&valid.to_json()).expect("own output parses");
+    let Json::Obj(top) = &mut json else {
+        panic!("a design is an object")
+    };
+    let Some(Json::Obj(constraints)) = top.get_mut("constraints") else {
+        panic!("a design has constraints")
+    };
+    let Some(Json::Arr(groups)) = constraints.get_mut("symmetry") else {
+        panic!("constraints have symmetry groups")
+    };
+    edit(groups);
+    Design::from_json(&json.pretty()).expect("schema-valid JSON")
+}
+
+fn set(group: &mut Json, key: &str, value: u64) {
+    let Json::Obj(fields) = group else {
+        panic!("a group is an object")
+    };
+    fields.insert(key.into(), Json::uint(value));
+}
+
+#[test]
+fn broken_symmetry_from_json_is_a_lint_error_not_a_hang() {
+    let cases: [(&str, DiagCode, GroupEdit); 4] = [
+        ("cycle", DiagCode::SymmetryCyclicShare, |gs| {
+            set(&mut gs[0], "share_axis_with", 1);
+            set(&mut gs[1], "share_axis_with", 0);
+        }),
+        ("self", DiagCode::SymmetryCyclicShare, |gs| {
+            set(&mut gs[1], "share_axis_with", 1);
+        }),
+        ("missing group", DiagCode::SymmetryCyclicShare, |gs| {
+            set(&mut gs[1], "share_axis_with", 7);
+        }),
+        ("dangling cell", DiagCode::SymmetryDanglingCell, |gs| {
+            let Json::Obj(g) = &mut gs[0] else {
+                panic!("a group is an object")
+            };
+            let Some(Json::Arr(pairs)) = g.get_mut("pairs") else {
+                panic!("a group has pairs")
+            };
+            set(&mut pairs[0], "a", 99);
+        }),
+    ];
+    for (what, code, edit) in cases {
+        let design = unvalidated_design(edit);
+        let cfg = PlacerConfig::fast();
+        let report = lint(&design, &cfg);
+        assert!(code_of(&report, code), "{what}:\n{report}");
+        match Placer::new(&design, cfg) {
+            Err(PlaceError::Lint(r)) => assert!(r.has_code(code), "{what}:\n{r}"),
+            Err(other) => panic!("{what}: expected lint rejection, got {other:?}"),
+            Ok(_) => panic!("{what}: expected lint rejection, got an encoder"),
+        }
+    }
 }

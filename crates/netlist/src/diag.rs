@@ -56,13 +56,15 @@ pub enum DiagCode {
     /// die.
     RegionInfeasible,
     /// `AMS-E009`: the regions' minimum footprints (including edge
-    /// reservations) exceed the die area in aggregate.
+    /// reservations) exceed, in aggregate, the die area their extension
+    /// margins leave them.
     DieOverflow,
     /// `AMS-E010`: a region's power-group row bands cannot fit its height
     /// under any dimension candidate (Eq. 12).
     PowerRowOverflow,
     /// `AMS-E011`: the pin-density threshold `λ_th` is below the pin count
-    /// of a single cell, so every window overlapping it violates Eq. 14.
+    /// of a single cell, so every window overlapping it violates Eq. 14,
+    /// or the design's pins exceed `λ_th` times the number of windows.
     PinDensityInfeasible,
     /// `AMS-E012`: the QF_BV scaling overflows the 64-bit term width
     /// (die dimensions or net weights too large for `bits_for`).

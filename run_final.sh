@@ -1,6 +1,5 @@
 #!/bin/sh
-# Regenerates the evaluation report and the bench outputs.
+# Regenerates the evaluation report.
 set -x
 cargo build --release -p ams-bench
 ./target/release/report > results/report.txt 2> results/report.log
-cargo bench --workspace 2>&1 | tee bench_output.txt

@@ -16,6 +16,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark harness (examples/bench, its own workspace)"
+# `cargo test --workspace` never compiles the benchmark, yet it drives the
+# placer's public entry points (lint, presolve, Placer, the service).
+cargo test --release --manifest-path examples/bench/Cargo.toml
+
 echo "==> cargo test (parallel portfolio, AMSPLACE_THREADS=4)"
 # Re-runs the placement-facing suites with the portfolio as the default
 # solver path, so the multi-threaded dispatch stays covered by CI.
