@@ -59,7 +59,7 @@ pub fn explain_unsat(design: &Design, config: &PlacerConfig) -> UnsatOutcome {
     let mut smt = Smt::new();
     let vars = VarMap::create(&mut smt, design, &scale, &plan, config, None);
     let encoding = encode::encode_design(&mut smt, design, &scale, &plan, &vars, config);
-    let lowering = encoding.store.lower(&mut smt, 0);
+    let lowering = encoding.store.lower(&mut smt, 0, &ConstraintFamily::ALL);
 
     smt.set_conflict_budget(config.optimize.first_conflict_budget);
     let assumptions: Vec<Term> = lowering.selectors.iter().map(|&(_, s)| s).collect();

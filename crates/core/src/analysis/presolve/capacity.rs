@@ -8,8 +8,8 @@
 //!
 //! Region bounds are taken at the configuration's own extension margins,
 //! so every proof reasons about exactly the bounds the encoder asserts.
-//! Recovery rungs change the margins and λ_th, so the placer re-checks at
-//! the top of every rung.
+//! Recovery rungs change the margins and λ_th, so the placer reruns the
+//! proofs whenever its configuration changes.
 
 use super::PresolveConflict;
 use crate::config::PlacerConfig;
@@ -20,19 +20,6 @@ use crate::power::PowerPlan;
 use crate::scale::ScaleInfo;
 use ams_netlist::{Design, RegionId, SymmetryAxis};
 use std::cmp::Reverse;
-
-/// The first failed proof, if any (see [`proofs`] for the order).
-pub(crate) fn check(
-    design: &Design,
-    config: &PlacerConfig,
-    scale: &ScaleInfo,
-    plan: &PowerPlan,
-) -> Result<(), PresolveConflict> {
-    match proofs(design, config, scale, plan).into_iter().next() {
-        Some(c) => Err(c),
-        None => Ok(()),
-    }
-}
 
 /// Runs every counting proof and returns each failure, in a fixed order:
 /// region candidates, die area, pin density (per cell, then aggregate),
@@ -271,6 +258,19 @@ fn power_stacking(
 mod tests {
     use super::*;
     use ams_netlist::benchmarks;
+
+    /// The first failed proof, if any.
+    fn check(
+        design: &Design,
+        config: &PlacerConfig,
+        scale: &ScaleInfo,
+        plan: &PowerPlan,
+    ) -> Result<(), PresolveConflict> {
+        match proofs(design, config, scale, plan).into_iter().next() {
+            Some(c) => Err(c),
+            None => Ok(()),
+        }
+    }
 
     fn ctx(design: &Design, config: &PlacerConfig) -> (ScaleInfo, PowerPlan) {
         (

@@ -51,7 +51,7 @@ impl Interval {
 }
 
 /// Bounding-box intervals of one array constraint.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct BoxIntervals {
     pub xl: Interval,
     pub xh: Interval,
@@ -62,7 +62,7 @@ pub(crate) struct BoxIntervals {
 /// Narrowed variable domains of one instance, aligned index-for-index with
 /// the crate-internal variable map. Opaque outside the crate: consumers go
 /// through [`super::presolve`] / the placer.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Domains {
     pub(crate) cell_x: Vec<Interval>,
     pub(crate) cell_y: Vec<Interval>,

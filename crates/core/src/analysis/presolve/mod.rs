@@ -30,7 +30,7 @@ mod validate;
 
 pub use domain::{Domains, Interval};
 
-pub(crate) use capacity::{check as capacity_check, proofs as capacity_proofs};
+pub(crate) use capacity::proofs as capacity_proofs;
 pub(crate) use validate::validate_lowering;
 
 use crate::config::PlacerConfig;

@@ -28,8 +28,10 @@ use std::time::Duration;
 /// (request `idempotency_key`, the `interrupted` job status and error
 /// kind, `degraded` in the service health documents); 3 = routing
 /// closure (the constant-shape `closure` object in the stats document,
-/// `close`/`close_iters` job options).
-pub const SCHEMA_VERSION: u64 = 3;
+/// `close`/`close_iters` job options); 4 = the `clauses_saved` key of the
+/// stats `presolve` object removed, with the shadow unpruned encode that
+/// measured it.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Lifecycle state of a placement job.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -439,10 +441,9 @@ impl PlaceRequest {
 
     /// Serializes to the wire shape (the design inline as an object).
     pub fn to_json(&self) -> Json {
-        let design = Json::parse(&self.design.to_json()).expect("Design::to_json emits valid JSON");
         Json::obj([
             ("schema_version", Json::uint(SCHEMA_VERSION)),
-            ("design", design),
+            ("design", self.design.to_json_value()),
             ("options", self.options.to_json()),
             (
                 "idempotency_key",
@@ -474,7 +475,7 @@ impl PlaceRequest {
                 other => return Err(format!("unknown benchmark design {other:?}")),
             },
             Some(obj @ Json::Obj(_)) => {
-                Design::from_json(&obj.pretty()).map_err(|e| format!("design: {e}"))?
+                Design::from_json_value(obj).map_err(|e| format!("design: {e}"))?
             }
             Some(_) => return Err("design must be an object or a benchmark name".into()),
             None => return Err("design missing".into()),
@@ -795,10 +796,6 @@ pub fn presolve_to_json(ps: Option<&PresolveStats>) -> Json {
             ("verdict", Json::str(&ps.verdict)),
             ("vars_saved_bits", Json::uint(ps.vars_saved_bits)),
             (
-                "clauses_saved",
-                ps.clauses_saved.map_or(Json::Null, Json::uint),
-            ),
-            (
                 "passes",
                 Json::Arr(
                     ps.passes
@@ -818,7 +815,6 @@ pub fn presolve_to_json(ps: Option<&PresolveStats>) -> Json {
             ("ran", Json::Bool(false)),
             ("verdict", Json::str("skipped")),
             ("vars_saved_bits", Json::uint(0)),
-            ("clauses_saved", Json::Null),
             ("passes", Json::Arr(Vec::new())),
         ]),
     }

@@ -209,7 +209,7 @@ where
         ));
     }
     // The whole point is warm re-solving; force reusable mode so rebase
-    // relowers instead of reporting Structural.
+    // re-lowers instead of reporting Structural.
     config.solver.reusable = true;
 
     let mut placer = Placer::new(design, config.clone())?;

@@ -316,10 +316,6 @@ pub struct PresolveConfig {
     /// [`SolverConfig::certify`] so certified runs prove the un-pruned
     /// encoding.
     pub domain_pruning: bool,
-    /// Measure the CNF clause delta of pruning by shadow-encoding the
-    /// instance without domains (costs one extra encode+blast, no solving).
-    /// Reported as `clauses_saved` in [`crate::PresolveStats`].
-    pub measure_savings: bool,
 }
 
 impl Default for PresolveConfig {
@@ -327,7 +323,6 @@ impl Default for PresolveConfig {
         PresolveConfig {
             enabled: true,
             domain_pruning: true,
-            measure_savings: false,
         }
     }
 }

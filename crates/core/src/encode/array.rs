@@ -13,6 +13,7 @@
 //!   written — bounding boxes with tight edges, a density disjunction, and
 //!   coordinate-sum equalities.
 
+use super::region::rescale;
 use super::{lifted, off_const};
 use crate::config::PlacerConfig;
 use crate::ir::{ConstraintFamily, ConstraintStore, Provenance};
@@ -355,10 +356,10 @@ fn assert_array_keepout(
     if config.toggles.extensions {
         for e in &design.constraints().extensions {
             if e.target == ExtensionTarget::Array(ai) {
-                ml = ml.max(scale.scale_x_ceil(e.left));
-                mr = mr.max(scale.scale_x_ceil(e.right));
-                mb = mb.max(scale.scale_y_ceil(e.bottom));
-                mt = mt.max(scale.scale_y_ceil(e.top));
+                ml = ml.max(rescale(scale.scale_x_ceil(e.left), config));
+                mr = mr.max(rescale(scale.scale_x_ceil(e.right), config));
+                mb = mb.max(rescale(scale.scale_y_ceil(e.bottom), config));
+                mt = mt.max(rescale(scale.scale_y_ceil(e.top), config));
             }
         }
     }

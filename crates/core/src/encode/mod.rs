@@ -23,7 +23,10 @@ use ams_smt::{Smt, Term};
 /// configuration (Section IV.C, a–g), emitted into a fresh
 /// [`ConstraintStore`] — the single encode path shared by the placer and
 /// the UNSAT explainer. Terms are built in `smt`'s pool; nothing is
-/// asserted until the store is lowered.
+/// asserted until the store is lowered. Encoders create no variables
+/// (those live in the [`VarMap`]), and the pool interns every term, so
+/// re-encoding into a live solver returns term-identical records for
+/// every family the new configuration leaves unchanged.
 pub(crate) struct Encoding {
     /// The emitted constraint records.
     pub store: ConstraintStore,

@@ -1,11 +1,11 @@
 //! Window-based pin-density constraints (Eq. 13–14, Fig. 5).
 //!
 //! A sliding `β_x × β_y` check window is swept over the scaled floorplan;
-//! each window gets Boolean overlap indicators `b_{i,j}` (one per cell with
-//! pins), and a pseudo-Boolean constraint bounds `Σ |P(v_i)|·b_{i,j} ≤ λ_th`
-//! per window. Because the indicators are one-directional (`overlap → b`),
-//! over-approximation is conservative: every model satisfies the true
-//! density bound.
+//! each window emits one at-most record bounding `Σ |P(v_i)|·[overlap_i] ≤
+//! λ_th` over the Eq. 13 overlap conditions of the cells with pins.
+//! Lowering gives each condition a one-directional indicator
+//! `overlap → b_{i,j}` ([`crate::ir`]), so over-approximation is
+//! conservative: every model satisfies the true density bound.
 
 use crate::config::PinDensityConfig;
 use crate::ir::{ConstraintFamily, ConstraintStore, Provenance};
@@ -132,33 +132,24 @@ pub(crate) fn assert_pin_density(
     let mut windows = 0usize;
     for &ym in &ys {
         for &xm in &xs {
-            store.at(Provenance::Window { x: xm, y: ym });
-            let mut items: Vec<(Term, u64)> = Vec::with_capacity(pinful.len());
-            for &c in &pinful {
-                let pins = design.cell(c).pin_count() as u64;
-                let overlap = overlap_condition(smt, scale, vars, c, (xm, ym), (beta_x, beta_y));
-                match overlap {
-                    Overlap::Never => {}
-                    Overlap::Always => {
-                        // Contributes unconditionally; encode with a true
-                        // indicator (constant weight).
-                        let t = smt.tru();
-                        items.push((t, pins));
-                    }
-                    Overlap::Cond(cond) => {
-                        let b = smt.bool_var(format!("b_c{}_w{}x{}", c.index(), xm, ym));
-                        let imp = smt.implies(cond, b);
-                        store.assert(imp);
-                        items.push((b, pins));
-                    }
-                }
-            }
-            let worst: u64 = items.iter().map(|&(_, w)| w).sum();
+            let items: Vec<(Term, u64)> = pinful
+                .iter()
+                .filter_map(|&c| {
+                    let pins = design.cell(c).pin_count() as u64;
+                    overlap_condition(smt, scale, vars, c, (xm, ym), (beta_x, beta_y))
+                        .map(|cond| (cond, pins))
+                })
+                .collect();
+            let total: u64 = items.iter().map(|&(_, w)| w).sum();
             // A routing-closure override tightens this one window below the
             // global threshold; clamping to `lambda` keeps the per-window
             // bound sound w.r.t. the global legality check.
             let bound = cfg.override_for(xm, ym).map_or(lambda, |l| l.min(lambda));
-            if worst > bound {
+            // A window whose items all hold unconditionally and fit lowers
+            // to nothing, so it emits no record.
+            let conditional = items.iter().any(|&(t, _)| smt.pool().as_const(t).is_none());
+            if conditional || total > bound {
+                store.at(Provenance::Window { x: xm, y: ym });
                 store.assert_at_most(items, bound);
             }
             windows += 1;
@@ -183,15 +174,11 @@ pub(crate) fn window_origins(extent: u32, beta: u32, stride: u32) -> Vec<u32> {
     out
 }
 
-enum Overlap {
-    Never,
-    Always,
-    Cond(Term),
-}
-
 /// The Eq. 13 overlap condition between cell `c` and the window at
 /// `(xm, ym)`, folded against constants:
 /// `x_v < xm + β_x  ∧  x_v + w_v > xm  ∧  y_v < ym + β_y  ∧  y_v + h_v > ym`.
+/// `None` when the cell can never overlap the window; constant true when
+/// it always does.
 fn overlap_condition(
     smt: &mut Smt,
     scale: &ScaleInfo,
@@ -199,7 +186,7 @@ fn overlap_condition(
     c: ams_netlist::CellId,
     (xm, ym): (u32, u32),
     (beta_x, beta_y): (u32, u32),
-) -> Overlap {
+) -> Option<Term> {
     let (w, h) = (scale.width_of(c), scale.height_of(c));
     let x = vars.cell_x[c.index()];
     let y = vars.cell_y[c.index()];
@@ -228,15 +215,8 @@ fn overlap_condition(
         conds.push(smt.uge(y, cst));
     }
 
-    if conds.is_empty() {
-        return Overlap::Always;
-    }
     let cond = smt.and(&conds);
-    match smt.pool().as_const(cond) {
-        Some(0) => Overlap::Never,
-        Some(_) => Overlap::Always,
-        None => Overlap::Cond(cond),
-    }
+    (smt.pool().as_const(cond) != Some(0)).then_some(cond)
 }
 
 #[cfg(test)]

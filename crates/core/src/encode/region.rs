@@ -42,8 +42,9 @@ pub(crate) fn cell_margins(
 }
 
 /// Applies the recovery ladder's extension-margin scale factor
-/// ([`PlacerConfig::extension_scale`], 1.0 outside recovery).
-fn rescale(margin: u32, config: &PlacerConfig) -> u32 {
+/// ([`PlacerConfig::extension_scale`], 1.0 outside recovery) to a cell,
+/// region or array margin.
+pub(crate) fn rescale(margin: u32, config: &PlacerConfig) -> u32 {
     if config.extension_scale >= 1.0 {
         return margin;
     }

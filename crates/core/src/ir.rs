@@ -14,9 +14,11 @@
 //!   encoding behaves exactly as if asserted directly — and an UNSAT
 //!   verdict's failed assumptions name the conflicting families for free
 //!   (no re-encode, no second solve).
-//! * **Recovery** retires a relaxed family's selector
-//!   ([`ams_smt::Smt::retire`]) and lowers a replacement generation on the
-//!   live solver, keeping every learnt clause that does not depend on the
+//! * **Reconfiguration** (the recovery ladder, routing closure, and warm
+//!   service requests) re-encodes the design into the live solver's term
+//!   pool, diffs the records family by family, retires each changed
+//!   family's selector ([`ams_smt::Smt::retire`]) and lowers a replacement
+//!   generation, keeping every learnt clause that does not depend on a
 //!   retired family.
 //! * **Diagnostics** ([`crate::PlaceError::Infeasible`], lint `--explain`)
 //!   cite the provenance sites of the blamed families.
@@ -134,7 +136,10 @@ impl fmt::Display for Provenance {
 pub(crate) enum Payload {
     /// A Boolean term to assert.
     Term(Term),
-    /// A pseudo-Boolean bound `Σ weightᵢ·itemᵢ ≤ bound` (Eq. 14).
+    /// A pseudo-Boolean bound `Σ weightᵢ·itemᵢ ≤ bound` (Eq. 14). Lowering
+    /// gives every non-constant item a one-directional indicator
+    /// `itemᵢ → bᵢ` and bounds the indicators, so encoders emit plain
+    /// terms and create no variables.
     AtMost { items: Vec<(Term, u64)>, bound: u64 },
 }
 
@@ -175,7 +180,8 @@ pub(crate) struct Lowering {
 ///
 /// Encoders set an emission context ([`ConstraintStore::family`] /
 /// [`ConstraintStore::at`]) and emit records; the placer lowers them in one
-/// pass and keeps the store for diagnostics and recovery re-lowering.
+/// pass and keeps the store for diagnostics and for diffing against the
+/// next re-encode.
 #[derive(Default)]
 pub(crate) struct ConstraintStore {
     constraints: Vec<Constraint>,
@@ -228,45 +234,25 @@ impl ConstraintStore {
         });
     }
 
-    /// Number of records in the store.
-    pub fn len(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Read-only view of every record, for static analysis
     /// ([`crate::analysis::presolve`]).
     pub fn records(&self) -> &[Constraint] {
         &self.constraints
     }
 
-    /// Drops every record of the given families (before re-emitting a
-    /// relaxed replacement generation).
-    pub fn remove_families(&mut self, families: &[ConstraintFamily]) {
-        self.constraints.retain(|c| !families.contains(&c.family));
-    }
-
-    /// Lowers every record into the solver, one guard selector per family.
-    pub fn lower(&self, smt: &mut Smt, generation: u32) -> Lowering {
-        self.lower_from(smt, generation, 0)
-    }
-
-    /// Lowers the records from index `start` on — the re-lowering entry
-    /// used by the recovery ladder after [`ConstraintStore::remove_families`]
-    /// plus re-emission (the replacement records sit at the tail).
-    ///
-    /// Each family present in the range gets a fresh
-    /// `sel_<family>_g<generation>` selector; records are installed under
-    /// it via [`Smt::set_guard`] in emission order, then bit-blasted
-    /// ([`Smt::flush`]) so the per-family clause delta can be measured.
-    pub fn lower_from(&self, smt: &mut Smt, generation: u32, start: usize) -> Lowering {
+    /// Lowers the records of `families` into the solver, one fresh
+    /// `sel_<family>_g<generation>` guard selector per family present.
+    /// Records are installed under it via [`Smt::set_guard`] in emission
+    /// order, then bit-blasted ([`Smt::flush`]) so the per-family clause
+    /// delta can be measured.
+    pub fn lower(&self, smt: &mut Smt, generation: u32, families: &[ConstraintFamily]) -> Lowering {
         let t0 = Instant::now();
-        let range = &self.constraints[start..];
         let mut selectors = Vec::new();
-        let mut families = Vec::new();
+        let mut stats = Vec::new();
         smt.flush();
         for family in ConstraintFamily::ALL {
-            let records = || range.iter().filter(|c| c.family == family);
-            if records().next().is_none() {
+            let records = || self.constraints.iter().filter(|c| c.family == family);
+            if !families.contains(&family) || records().next().is_none() {
                 continue;
             }
             let sel = smt.bool_var(format!("sel_{}_g{generation}", family.name()));
@@ -277,13 +263,15 @@ impl ConstraintStore {
                 constraints += 1;
                 match &c.payload {
                     Payload::Term(t) => smt.assert(*t),
-                    Payload::AtMost { items, bound } => smt.assert_at_most(items, *bound),
+                    Payload::AtMost { items, bound } => {
+                        lower_at_most(smt, c.provenance, items, *bound)
+                    }
                 }
             }
             smt.flush();
             smt.set_guard(None);
             selectors.push((family, sel));
-            families.push(FamilyStats {
+            stats.push(FamilyStats {
                 family,
                 constraints,
                 clauses: smt.num_sat_clauses() - before,
@@ -291,7 +279,7 @@ impl ConstraintStore {
         }
         Lowering {
             selectors,
-            families,
+            families: stats,
             elapsed: t0.elapsed(),
         }
     }
@@ -300,15 +288,10 @@ impl ConstraintStore {
     /// the families whose record sequences differ (count, provenance, or
     /// payload), in canonical order.
     ///
-    /// Record payloads reference [`Term`]s by index, so the comparison is
-    /// only meaningful when both stores were emitted by the *same
-    /// deterministic encoding sequence* over identically-constructed
-    /// solvers — the contract [`crate::Placer::rebase`] maintains by
-    /// re-encoding the incoming request against a fresh scratch solver
-    /// that mirrors the cached placer's construction order. A family the
-    /// cached placer has since re-lowered (recovery rungs re-emit records
-    /// with live-solver term ids) compares as changed, which is safe: the
-    /// caller simply re-lowers it again.
+    /// Record payloads reference [`Term`]s by index, so both stores must be
+    /// emitted into the same solver's term pool. Encoders create no
+    /// variables, and the pool interns every term, so an unchanged family
+    /// re-emits term-identical records.
     pub fn diff_families(&self, other: &ConstraintStore) -> Vec<ConstraintFamily> {
         ConstraintFamily::ALL
             .into_iter()
@@ -348,6 +331,31 @@ impl ConstraintStore {
                 )
             })
             .collect()
+    }
+}
+
+/// Lowers one at-most record: every item that is not constant true gets a
+/// one-directional indicator `item → b` (over-approximating the item keeps
+/// every model within the true bound), and the bound is asserted over the
+/// indicators unless every item fits under it.
+fn lower_at_most(smt: &mut Smt, site: Provenance, items: &[(Term, u64)], bound: u64) {
+    let mut total = 0u64;
+    let indicators: Vec<(Term, u64)> = items
+        .iter()
+        .enumerate()
+        .map(|(i, &(item, weight))| {
+            total += weight;
+            if smt.pool().as_const(item) == Some(1) {
+                return (item, weight);
+            }
+            let b = smt.bool_var(format!("b{i} of {site}"));
+            let imp = smt.implies(item, b);
+            smt.assert(imp);
+            (b, weight)
+        })
+        .collect();
+    if total > bound {
+        smt.assert_at_most(&indicators, bound);
     }
 }
 
@@ -402,7 +410,7 @@ mod tests {
         let is5 = smt.eq_const(x, 5);
         store.assert(is5);
 
-        let lowering = store.lower(&mut smt, 0);
+        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL);
         assert_eq!(lowering.selectors.len(), 2);
         assert_eq!(lowering.families.len(), 2);
         assert!(lowering.families.iter().all(|f| f.constraints == 1));
@@ -424,49 +432,58 @@ mod tests {
     fn relowering_replaces_a_retired_family() {
         let mut smt = Smt::new();
         let x = smt.bv_var(4, "x");
-        let mut store = ConstraintStore::new();
-        store.family(ConstraintFamily::PinDensity);
-        let is3 = smt.eq_const(x, 3);
-        store.assert(is3);
-        let g0 = store.lower(&mut smt, 0);
-        let sel0 = g0.selectors[0].1;
-        assert_eq!(smt.solve_with(&[sel0]), SmtResult::Sat);
+        let emit = |smt: &mut Smt, value: u64| {
+            let mut store = ConstraintStore::new();
+            store.family(ConstraintFamily::CoreGeometry);
+            let small = smt.bv_const(4, 8);
+            let below = smt.ult(x, small);
+            store.assert(below);
+            store.family(ConstraintFamily::PinDensity);
+            let is = smt.eq_const(x, value);
+            store.assert(is);
+            store
+        };
+        let store = emit(&mut smt, 3);
+        let g0 = store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        let sels0: Vec<Term> = g0.selectors.iter().map(|&(_, s)| s).collect();
+        assert_eq!(smt.solve_with(&sels0), SmtResult::Sat);
         assert_eq!(smt.bv_value(x), 3);
 
-        // Retire generation 0 and lower a relaxed generation 1.
-        smt.retire(sel0);
-        store.remove_families(&[ConstraintFamily::PinDensity]);
-        let mark = store.len();
-        store.family(ConstraintFamily::PinDensity);
-        let is7 = smt.eq_const(x, 7);
-        store.assert(is7);
-        let g1 = store.lower_from(&mut smt, 1, mark);
+        // Re-emit with a relaxed pin-density record: only that family
+        // differs, so only it is retired and lowered as generation 1.
+        let relaxed = emit(&mut smt, 7);
+        let changed = store.diff_families(&relaxed);
+        assert_eq!(changed, vec![ConstraintFamily::PinDensity]);
+        smt.retire(sels0[1]);
+        let g1 = relaxed.lower(&mut smt, 1, &changed);
+        assert_eq!(g1.selectors.len(), 1);
         let sel1 = g1.selectors[0].1;
-        assert_ne!(sel0, sel1);
-        assert_eq!(smt.solve_with(&[sel1]), SmtResult::Sat);
+        assert_ne!(sels0[1], sel1);
+        assert_eq!(smt.solve_with(&[sels0[0], sel1]), SmtResult::Sat);
         assert_eq!(smt.bv_value(x), 7);
     }
 
     #[test]
     fn diff_families_reports_only_changed_families() {
-        // Two stores emitted by the same term-construction sequence over
-        // separate solvers: identical geometry records, one differing
-        // pin-density bound (the λ_th-only warm-cache scenario).
-        let build = |bound: u64| {
-            let mut smt = Smt::new();
-            let x = smt.bv_var(4, "x");
+        // Stores emitted into one term pool: identical geometry records,
+        // one differing pin-density bound (a λ_th-only warm request).
+        let mut smt = Smt::new();
+        let x = smt.bv_var(4, "x");
+        let mut build = |bound: u64| {
             let mut store = ConstraintStore::new();
             store.family(ConstraintFamily::CoreGeometry);
             let lim = smt.eq_const(x, 3);
             store.assert(lim);
             store.family(ConstraintFamily::PinDensity);
             store.at(Provenance::Window { x: 0, y: 0 });
-            store.assert_at_most(vec![(lim, 1)], bound);
+            let five = smt.bv_const(4, 5);
+            let near = smt.ule(x, five);
+            store.assert_at_most(vec![(lim, 1), (near, 1)], bound);
             store
         };
-        let a = build(2);
-        let same = build(2);
-        let relaxed = build(5);
+        let a = build(1);
+        let same = build(1);
+        let relaxed = build(2);
         assert_eq!(a.diff_families(&same), Vec::new());
         assert_eq!(
             a.diff_families(&relaxed),
@@ -479,6 +496,32 @@ mod tests {
             a.diff_families(&empty),
             vec![ConstraintFamily::CoreGeometry, ConstraintFamily::PinDensity]
         );
+    }
+
+    #[test]
+    fn at_most_items_lower_through_indicators() {
+        // x ≤ 3 and x ≥ 2 weigh 1 each under a bound of 1: at most one
+        // may hold, so x ∈ {2, 3} is excluded.
+        let mut smt = Smt::new();
+        let x = smt.bv_var(3, "x");
+        let mut store = ConstraintStore::new();
+        store.family(ConstraintFamily::PinDensity);
+        let three = smt.bv_const(3, 3);
+        let two = smt.bv_const(3, 2);
+        let le3 = smt.ule(x, three);
+        let ge2 = smt.uge(x, two);
+        store.assert_at_most(vec![(le3, 1), (ge2, 1)], 1);
+        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        let sel = lowering.selectors[0].1;
+        for value in 0..8 {
+            let pin = smt.eq_const(x, value);
+            let expect = if (2..=3).contains(&value) {
+                SmtResult::Unsat
+            } else {
+                SmtResult::Sat
+            };
+            assert_eq!(smt.solve_with(&[sel, pin]), expect, "x = {value}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Placement results, metrics, and the independent legality checker.
 
+use crate::encode::pin_density::window_origins;
 use crate::scale::ScaleInfo;
 use ams_netlist::{ArrayPattern, Design, Rect, SymmetryAxis};
 use std::fmt;
@@ -131,7 +132,7 @@ pub struct RungStats {
     /// that rebuilt the solver.
     pub learnts_carried: u64,
     /// Whether the rung rebuilt the placer from scratch (die widening
-    /// changes coordinate bit-widths) instead of re-lowering the blamed
+    /// changes coordinate bit-widths) instead of re-lowering the changed
     /// families on the live solver.
     pub rebuilt: bool,
 }
@@ -211,8 +212,10 @@ pub struct PlaceStats {
     /// Certification artifacts of a `certify`-mode run
     /// ([`crate::SolverConfig::certify`]); `None` otherwise.
     pub certify: Option<CertifyReport>,
-    /// Static-presolve summary ([`crate::analysis::presolve`]); `None`
-    /// when presolve was disabled.
+    /// Static-presolve summary ([`crate::analysis::presolve`]): the
+    /// verdict and passes describe the configuration the job was asked to
+    /// solve (recovery rungs do not rewrite them), the saved bits the
+    /// solver that placed it. `None` when presolve was disabled.
     pub presolve: Option<PresolveStats>,
     /// Warm-reuse summary when this run re-solved on a live solver via
     /// [`crate::Placer::rebase`] instead of encoding from scratch; `None`
@@ -261,9 +264,6 @@ pub struct PresolveStats {
     /// Bit-vector bits saved by domain pruning (0 when pruning was off or
     /// nothing narrowed).
     pub vars_saved_bits: u64,
-    /// CNF clauses saved versus the un-pruned encoding; measured only
-    /// under [`crate::PresolveConfig::measure_savings`], `None` otherwise.
-    pub clauses_saved: Option<u64>,
     /// Per-pass outcomes, in execution order.
     pub passes: Vec<PresolvePassStats>,
 }
@@ -688,10 +688,13 @@ impl Placement {
         if self.die.w < bw || self.die.h < bh {
             return;
         }
-        // Scan at the stride the encoding enforced; a coarser stride is an
+        // Scan the windows the encoding enforced: stride-stepped origins
+        // plus the final one of an off-stride die. A coarser stride is an
         // explicit approximation knob (stride 1 reproduces the paper's |M|).
-        for wy in (0..=self.die.h - bh).step_by((uh * pd.stride_y) as usize) {
-            for wx in (0..=self.die.w - bw).step_by((uw * pd.stride_x) as usize) {
+        let xs = window_origins(self.die.w / uw, pd.beta_x, pd.stride_x);
+        let ys = window_origins(self.die.h / uh, pd.beta_y, pd.stride_y);
+        for wy in ys.into_iter().map(|y| y * uh) {
+            for wx in xs.iter().map(|&x| x * uw) {
                 let win = Rect::new(wx, wy, bw, bh);
                 let pins: u64 = design
                     .cell_ids()

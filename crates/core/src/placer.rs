@@ -1,7 +1,7 @@
 //! The SMT placement engine (Fig. 3): encode → incremental optimization
 //! (Algorithm 1) → post-processing.
 
-use crate::analysis::presolve::{self, PresolveConflict, PresolveVerdict};
+use crate::analysis::presolve::{self, Domains, PresolveConflict};
 use crate::config::{PinDensityConfig, PlacerConfig, SolverOverrides};
 use crate::encode;
 use crate::ir::{conflict_families, ConstraintFamily, ConstraintStore, FamilyStats};
@@ -275,7 +275,8 @@ pub struct Placer<'a> {
     smt: Smt,
     vars: VarMap,
     /// The emitted constraint records (see [`crate::ir`]), kept after
-    /// lowering for provenance diagnostics and recovery re-lowering.
+    /// lowering for provenance diagnostics and for diffing against the
+    /// next re-encode.
     store: ConstraintStore,
     /// Active `(family, selector)` pairs — the latest generation of every
     /// lowered family. Passed as assumptions on every solve.
@@ -284,23 +285,25 @@ pub struct Placer<'a> {
     families: Vec<FamilyStats>,
     /// Total wall-clock time spent lowering (initial pass + re-lowerings).
     lowering: Duration,
-    /// Lowering generation counter; bumped per recovery re-lowering so
-    /// selector names stay unique.
+    /// Lowering generation counter; bumped per re-lowering so selector
+    /// names stay unique.
     generation: u32,
     /// One entry per recovery rung taken so far.
     rungs: Vec<RungStats>,
     phi: Term,
     phi_w: u32,
     pd_check: Option<PinDensityCheck>,
-    /// Selectors retired by recovery re-lowerings, kept for the lowering
+    /// Selectors retired by re-lowerings, kept for the lowering
     /// well-formedness validator ([`Placer::validate_lowering`]).
     retired: Vec<Term>,
     /// Presolve summary for [`PlaceStats`]; `None` when presolve is off.
     presolve: Option<PresolveStats>,
-    /// Infeasibility proved by the domain pass. Computed at zero margins,
-    /// so it stays valid across content-only recovery rungs; consumed by
-    /// `presolve_fast_path`.
-    presolve_domain_conflict: Option<PresolveConflict>,
+    /// Presolve's static infeasibility proof for the current
+    /// configuration, returned by `presolve_fast_path`.
+    presolve_conflict: Option<PresolveConflict>,
+    /// The domains `vars` was narrowed against; with `scale`, `plan` and
+    /// `toggles.clusters`, the inputs of [`VarMap::create`].
+    domains: Option<Domains>,
     // Kept so recovery-ladder rebuilds can reinstall the caller's flag.
     cancel: Option<Arc<AtomicBool>>,
     /// Live selector guarding the wirelength-tightening bounds of the
@@ -318,55 +321,31 @@ pub struct Placer<'a> {
     warm_pending: Option<WarmStats>,
 }
 
-/// Everything deterministically derived from `(design, config)` before
-/// lowering: the lint gate, power plan, scaled geometry, presolve verdicts,
-/// solver + variable allocation, and the emitted (un-lowered) constraint
-/// store. [`Placer::new`] lowers it into a ready placer;
-/// [`Placer::rebase`] encodes a scratch copy to diff an incoming request
-/// against a warm placer's live store, relying on this single code path to
-/// keep term construction order — and hence [`Term`] identity — aligned
-/// between the two.
-struct EncodedDesign {
-    scale: ScaleInfo,
+/// The families a live placer can retire and re-lower when a new
+/// configuration changes their records. A change to any other family
+/// rebuilds the placer.
+const RELOWERABLE: [ConstraintFamily; 3] = [
+    ConstraintFamily::CoreGeometry,
+    ConstraintFamily::Arrays,
+    ConstraintFamily::PinDensity,
+];
+
+/// Everything derived from `(design, config)` before the solver sees a
+/// term: the power plan, the scaled geometry, the lint gate and presolve.
+/// [`Placer::new`] builds its solver from it, and `Placer::reconfigure`
+/// recomputes it whenever a live placer moves to a new configuration.
+struct FrontHalf {
     plan: PowerPlan,
-    smt: Smt,
-    vars: VarMap,
-    store: ConstraintStore,
-    phi: Term,
-    phi_w: u32,
-    pd_check: Option<PinDensityCheck>,
-    presolve_stats: Option<PresolveStats>,
-    domain_conflict: Option<PresolveConflict>,
-    /// Whether domain pruning actually narrowed the variable allocation
-    /// (presolve ran, produced domains, and certify did not veto them).
-    pruned: bool,
+    scale: ScaleInfo,
+    presolve: Option<PresolveStats>,
+    presolve_conflict: Option<PresolveConflict>,
+    /// The domains to narrow variable allocation against: present when
+    /// presolve ran with pruning, its domain pass succeeded, and certify
+    /// did not veto them.
+    domains: Option<Domains>,
 }
 
-/// How [`Placer::rebase`] absorbed a new configuration into a live solver.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum WarmReuse {
-    /// The new configuration lowers to a bit-identical constraint store;
-    /// nothing was re-lowered and every learnt clause stays in force.
-    Identical,
-    /// Only the listed families' records differed; their selectors were
-    /// retired and replacements lowered on the live solver, carrying
-    /// `learnts_carried` learnt clauses across.
-    Relowered {
-        /// Families retired + re-lowered, in canonical order.
-        families: Vec<ConstraintFamily>,
-        /// Learnt clauses alive at rebase time.
-        learnts_carried: u64,
-    },
-    /// The delta is structural (die sizing, constraint toggles, variable
-    /// widths, …): the live solver cannot absorb it — build a fresh
-    /// [`Placer`] instead. The placer is left unchanged.
-    Structural,
-}
-
-/// Encodes a design under a configuration into a fresh solver: the shared
-/// front half of [`Placer::new`] and the scratch encoding of
-/// [`Placer::rebase`].
-fn encode_fresh(design: &Design, config: &PlacerConfig) -> Result<EncodedDesign, PlaceError> {
+fn front_half(design: &Design, config: &PlacerConfig) -> Result<FrontHalf, PlaceError> {
     // Phase 1: power analysis (Fig. 3).
     let plan = PowerPlan::for_config(design, config);
 
@@ -399,22 +378,18 @@ fn encode_fresh(design: &Design, config: &PlacerConfig) -> Result<EncodedDesign,
         }
     }
 
-    // Static presolve. The domain pass narrows variable domains (fed into
-    // allocation below); its verdict is kept because it is computed at
-    // zero margins and so survives every content-only recovery rung.
-    // Capacity proofs are re-checked per rung instead
-    // (`presolve_fast_path`) since λ_th and margins change under recovery.
-    let mut presolve_stats: Option<PresolveStats> = None;
-    let mut domain_conflict: Option<PresolveConflict> = None;
-    let mut domains = None;
+    // Static presolve: the domain pass narrows variable domains, and its
+    // verdict (or the first failed capacity proof) feeds the fast path.
+    let mut front = FrontHalf {
+        plan,
+        scale,
+        presolve: None,
+        presolve_conflict: None,
+        domains: None,
+    };
     if config.presolve.enabled {
-        let report = presolve::presolve_with(design, config, &scale, &plan, &proofs);
-        if let PresolveVerdict::Infeasible(c) = &report.verdict {
-            if c.pass == "domain" {
-                domain_conflict = Some(c.clone());
-            }
-        }
-        presolve_stats = Some(PresolveStats {
+        let report = presolve::presolve_with(design, config, &front.scale, &front.plan, &proofs);
+        front.presolve = Some(PresolveStats {
             ran: true,
             verdict: if report.is_infeasible() {
                 "infeasible".into()
@@ -422,56 +397,64 @@ fn encode_fresh(design: &Design, config: &PlacerConfig) -> Result<EncodedDesign,
                 "feasible".into()
             },
             vars_saved_bits: 0,
-            clauses_saved: None,
             passes: report.passes.clone(),
         });
-        domains = report.domains;
-    }
-    // Certified runs prove the un-pruned encoding: domain pruning is
-    // sound, but the certificate should axiomatize exactly the vanilla
-    // bit-blast the differential harness and CI smoke expect.
-    let prune = if config.presolve.domain_pruning && !config.solver.certify {
-        domains.as_ref()
-    } else {
-        None
-    };
-
-    let mut smt = Smt::new();
-    if config.solver.certify {
-        // Before any assertion, so the certificate's CNF is complete.
-        smt.enable_proof();
-    }
-    let vars = VarMap::create(&mut smt, design, &scale, &plan, config, prune);
-    if let Some(stats) = &mut presolve_stats {
-        stats.vars_saved_bits = vars.saved_bits;
-    }
-
-    // Constraint formulation (Section IV.C, a–g): the encoders emit
-    // typed records into the one constraint store.
-    let encoding = encode::encode_design(&mut smt, design, &scale, &plan, &vars, config);
-    let pd_check = encoding.pd_info.map(|info| {
-        let pd = config.pin_density.as_ref().expect("pd_info implies config");
-        PinDensityCheck {
-            beta_x: info.beta_x,
-            beta_y: info.beta_y,
-            lambda: info.lambda,
-            stride_x: pd.stride_x,
-            stride_y: pd.stride_y,
+        front.presolve_conflict = report.conflict().cloned();
+        // Certified runs prove the un-pruned encoding: domain pruning is
+        // sound, but the certificate should axiomatize exactly the vanilla
+        // bit-blast the differential harness and CI smoke expect.
+        if config.presolve.domain_pruning && !config.solver.certify {
+            front.domains = report.domains;
         }
-    });
-    Ok(EncodedDesign {
-        scale,
-        plan,
-        smt,
-        vars,
-        store: encoding.store,
-        phi: encoding.phi,
-        phi_w: encoding.phi_w,
-        pd_check,
-        presolve_stats,
-        domain_conflict,
-        pruned: prune.is_some(),
+    }
+    Ok(front)
+}
+
+/// The portfolio a configuration asks for: every solve fans out across
+/// diversified workers when more than one thread is configured.
+fn portfolio(config: &PlacerConfig) -> Option<PortfolioConfig> {
+    (config.solver.threads > 1).then(|| PortfolioConfig {
+        threads: config.solver.threads,
+        share_lbd_max: config.solver.share_lbd_max,
+        seed: config.solver.seed,
+        ..PortfolioConfig::default()
     })
+}
+
+/// The window parameters a placement is verified against.
+fn pin_density_check(
+    info: Option<encode::pin_density::PinDensityInfo>,
+    config: &PlacerConfig,
+) -> Option<PinDensityCheck> {
+    let (info, pd) = (info?, config.pin_density.as_ref()?);
+    Some(PinDensityCheck {
+        beta_x: info.beta_x,
+        beta_y: info.beta_y,
+        lambda: info.lambda,
+        stride_x: pd.stride_x,
+        stride_y: pd.stride_y,
+    })
+}
+
+/// How [`Placer::rebase`] absorbed a new configuration into a live solver.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum WarmReuse {
+    /// The new configuration encodes to a term-identical constraint store;
+    /// nothing was re-lowered and every learnt clause stays in force.
+    Identical,
+    /// Only the listed families' records differed; their selectors were
+    /// retired and replacements lowered on the live solver, carrying
+    /// `learnts_carried` learnt clauses across.
+    Relowered {
+        /// Families retired + re-lowered, in canonical order.
+        families: Vec<ConstraintFamily>,
+        /// Learnt clauses alive at rebase time.
+        learnts_carried: u64,
+    },
+    /// The delta is structural (die sizing, constraint toggles, variable
+    /// widths, …): the live solver cannot absorb it — build a fresh
+    /// [`Placer`] instead. The placer's constraints are left unchanged.
+    Structural,
 }
 
 impl<'a> Placer<'a> {
@@ -496,70 +479,51 @@ impl<'a> Placer<'a> {
     /// broken or unsatisfiable (see [`crate::analysis::lint`]).
     pub fn new(design: &'a Design, config: PlacerConfig) -> Result<Placer<'a>, PlaceError> {
         config.validate().map_err(PlaceError::Config)?;
-        let EncodedDesign {
-            scale,
+        let FrontHalf {
             plan,
-            mut smt,
-            vars,
-            store,
-            phi,
-            phi_w,
-            pd_check,
-            mut presolve_stats,
-            domain_conflict,
-            pruned,
-        } = encode_fresh(design, &config)?;
+            scale,
+            mut presolve,
+            presolve_conflict,
+            domains,
+        } = front_half(design, &config)?;
 
-        // A single lowering pass installs the emitted records with
-        // per-family guard selectors.
-        let lowering = store.lower(&mut smt, 0);
-
-        // Optional savings measurement: encode the same instance once more
-        // without domains into a throwaway core and report the clause delta.
-        if config.presolve.measure_savings && pruned {
-            if let Some(stats) = &mut presolve_stats {
-                let mut shadow = Smt::new();
-                let svars = VarMap::create(&mut shadow, design, &scale, &plan, &config, None);
-                let senc =
-                    encode::encode_design(&mut shadow, design, &scale, &plan, &svars, &config);
-                let _ = senc.store.lower(&mut shadow, 0);
-                let delta = shadow
-                    .num_sat_clauses()
-                    .saturating_sub(smt.num_sat_clauses());
-                stats.clauses_saved = Some(delta as u64);
-            }
+        let mut smt = Smt::new();
+        if config.solver.certify {
+            // Before any assertion, so the certificate's CNF is complete.
+            smt.enable_proof();
+        }
+        let vars = VarMap::create(&mut smt, design, &scale, &plan, &config, domains.as_ref());
+        if let Some(stats) = &mut presolve {
+            stats.vars_saved_bits = vars.saved_bits;
         }
 
-        // Portfolio dispatch: every solve of the incremental loop fans out
-        // across diversified workers when more than one thread is asked for.
-        if config.solver.threads > 1 {
-            smt.set_portfolio(Some(PortfolioConfig {
-                threads: config.solver.threads,
-                share_lbd_max: config.solver.share_lbd_max,
-                seed: config.solver.seed,
-                ..PortfolioConfig::default()
-            }));
-        }
+        // Constraint formulation (Section IV.C, a–g): the encoders emit
+        // typed records into the one constraint store, and a single
+        // lowering pass installs them with per-family guard selectors.
+        let encoding = encode::encode_design(&mut smt, design, &scale, &plan, &vars, &config);
+        let lowering = encoding.store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        smt.set_portfolio(portfolio(&config));
 
         let placer = Placer {
             design,
+            pd_check: pin_density_check(encoding.pd_info, &config),
             config,
             scale,
             plan,
             smt,
             vars,
-            store,
+            store: encoding.store,
             selectors: lowering.selectors,
             families: lowering.families,
             lowering: lowering.elapsed,
             generation: 0,
             rungs: Vec::new(),
-            phi,
-            phi_w,
-            pd_check,
+            phi: encoding.phi,
+            phi_w: encoding.phi_w,
             retired: Vec::new(),
-            presolve: presolve_stats,
-            presolve_domain_conflict: domain_conflict,
+            presolve,
+            presolve_conflict,
+            domains,
             cancel: None,
             objective: None,
             objective_gen: 0,
@@ -581,27 +545,25 @@ impl<'a> Placer<'a> {
     /// Absorbs a new configuration for the *same* design onto this live
     /// solver, so the next [`Placer::place_mut`] re-solves warm instead of
     /// from scratch. Requires [`crate::SolverConfig::reusable`] on both the
-    /// current and the incoming configuration.
+    /// current and the incoming configuration, and certify mode on
+    /// neither.
     ///
-    /// The incoming configuration is encoded into a scratch solver by the
-    /// same deterministic path that built this one, and the two constraint
-    /// stores are diffed family-by-family (`ConstraintStore::diff_families`;
-    /// identical construction order makes [`Term`] identities comparable).
-    /// Three outcomes:
+    /// The design is re-encoded under `config` into the live solver and
+    /// diffed family by family against the live store, the mechanism the
+    /// recovery ladder uses too. Three outcomes:
     ///
     /// - no family differs → [`WarmReuse::Identical`]: only solver knobs
     ///   changed; nothing is re-lowered.
-    /// - only content-relowerable families differ (pin density, core
-    ///   geometry margins, arrays) → their selectors are retired and the
-    ///   new records lowered on the live solver, the recovery ladder's
-    ///   mechanism driven by a request delta instead of an UNSAT —
-    ///   [`WarmReuse::Relowered`] with the learnt-clause carryover count.
-    /// - anything else differs (die sizing, bit-widths, symmetry/power
-    ///   structure, presolve pruning, certify mode) →
-    ///   [`WarmReuse::Structural`], placer untouched: build a fresh one.
+    /// - only re-lowerable families differ (pin density, core geometry,
+    ///   arrays) → their selectors are retired and the new records
+    ///   lowered on the live solver — [`WarmReuse::Relowered`] with the
+    ///   learnt-clause carryover count.
+    /// - anything else differs (die sizing, domain pruning, symmetry or
+    ///   power structure, …) → [`WarmReuse::Structural`], constraints
+    ///   untouched: build a fresh placer.
     ///
-    /// Either way the previous job's objective-tightening bounds are
-    /// retracted (their selector is retired), the per-job conflict
+    /// Unless structural, the previous job's objective-tightening bounds
+    /// are retracted (their selector is retired), the per-job conflict
     /// baseline resets, and the rung history clears.
     ///
     /// # Errors
@@ -618,63 +580,95 @@ impl<'a> Placer<'a> {
         if self.config.solver.certify || config.solver.certify {
             return Ok(WarmReuse::Structural);
         }
+        let stats = self.smt.sat_stats();
+        let reuse = self.reconfigure(config)?;
+        let relowered = match &reuse {
+            WarmReuse::Structural => return Ok(reuse),
+            WarmReuse::Identical => Vec::new(),
+            WarmReuse::Relowered { families, .. } => families.clone(),
+        };
+        self.conflicts_base = stats.conflicts;
+        self.rungs.clear();
+        self.warm_pending = Some(WarmStats {
+            relowered,
+            learnts_carried: stats.learnts,
+        });
+        Ok(reuse)
+    }
 
-        let scratch = encode_fresh(self.design, &config)?;
-        // Different scaled geometry means different coordinate bit-widths:
-        // the variable map, and with it every clause, is invalidated.
-        if scratch.scale != self.scale {
+    /// Moves this live placer to `config`, the one way a live encoding
+    /// changes. It reruns the front half of [`Placer::new`] and returns
+    /// [`WarmReuse::Structural`], leaving the constraints untouched, when
+    /// an input of [`VarMap::create`] differs or a family outside
+    /// [`RELOWERABLE`] changes. Otherwise it re-encodes the design into
+    /// the live solver's term pool, retires and re-lowers only the changed
+    /// families, retracts the current objective bounds, and adopts the
+    /// configuration.
+    fn reconfigure(&mut self, config: PlacerConfig) -> Result<WarmReuse, PlaceError> {
+        let front = front_half(self.design, &config)?;
+        // A different variable map invalidates every clause.
+        if front.scale != self.scale
+            || front.plan != self.plan
+            || front.domains != self.domains
+            || config.toggles.clusters != self.config.toggles.clusters
+        {
             return Ok(WarmReuse::Structural);
         }
-        let changed = self.store.diff_families(&scratch.store);
-        let relowerable = [
-            ConstraintFamily::PinDensity,
-            ConstraintFamily::CoreGeometry,
-            ConstraintFamily::Arrays,
-        ];
-        if changed.iter().any(|fam| !relowerable.contains(fam)) {
+        let encoding = encode::encode_design(
+            &mut self.smt,
+            self.design,
+            &self.scale,
+            &self.plan,
+            &self.vars,
+            &config,
+        );
+        let changed = self.store.diff_families(&encoding.store);
+        if changed.iter().any(|fam| !RELOWERABLE.contains(fam)) {
             return Ok(WarmReuse::Structural);
         }
 
-        // Committed: retract the previous job's wirelength bounds so the
-        // warm solve starts unbounded, and reset per-job accounting.
         if let Some(sel) = self.objective.take() {
             self.smt.retire(sel);
         }
-        let stats = self.smt.sat_stats();
-        self.conflicts_base = stats.conflicts;
-        self.rungs.clear();
-
-        let reuse = if changed.is_empty() {
-            self.config = config;
+        let learnts_carried = self.smt.sat_stats().learnts;
+        if !changed.is_empty() {
+            self.generation += 1;
+            let (dropped, kept): (Vec<_>, Vec<_>) = self
+                .selectors
+                .drain(..)
+                .partition(|(fam, _)| changed.contains(fam));
+            self.selectors = kept;
+            for (_, sel) in dropped {
+                self.retired.push(sel);
+                self.smt.retire(sel);
+            }
+            let lowering = encoding
+                .store
+                .lower(&mut self.smt, self.generation, &changed);
+            self.lowering += lowering.elapsed;
+            self.families.retain(|fs| !changed.contains(&fs.family));
+            self.families.extend(lowering.families);
+            self.families.sort_by_key(|fs| fs.family);
+            self.selectors.extend(lowering.selectors);
+        }
+        self.store = encoding.store;
+        self.pd_check = pin_density_check(encoding.pd_info, &config);
+        self.presolve = front.presolve.map(|stats| PresolveStats {
+            vars_saved_bits: self.vars.saved_bits,
+            ..stats
+        });
+        self.presolve_conflict = front.presolve_conflict;
+        self.smt.set_portfolio(portfolio(&config));
+        self.config = config;
+        debug_assert_eq!(self.validate_lowering(), Ok(()));
+        Ok(if changed.is_empty() {
             WarmReuse::Identical
         } else {
-            self.relower(config, &changed);
             WarmReuse::Relowered {
-                families: changed.clone(),
-                learnts_carried: stats.learnts,
+                families: changed,
+                learnts_carried,
             }
-        };
-        // Solver knobs may differ even when the constraints do not.
-        self.smt.set_portfolio(if self.config.solver.threads > 1 {
-            Some(PortfolioConfig {
-                threads: self.config.solver.threads,
-                share_lbd_max: self.config.solver.share_lbd_max,
-                seed: self.config.solver.seed,
-                ..PortfolioConfig::default()
-            })
-        } else {
-            None
-        });
-        // Presolve verdicts are configuration-dependent; adopt the scratch
-        // encode's so `presolve_fast_path` reasons about the new request.
-        self.presolve = scratch.presolve_stats;
-        self.presolve_domain_conflict = scratch.domain_conflict;
-        self.warm_pending = Some(WarmStats {
-            relowered: changed,
-            learnts_carried: stats.learnts,
-        });
-        debug_assert_eq!(self.validate_lowering(), Ok(()));
-        Ok(reuse)
+        })
     }
 
     /// The scaled-design geometry of this instance.
@@ -710,22 +704,16 @@ impl<'a> Placer<'a> {
         presolve::validate_lowering(&self.store, &self.selectors, &self.retired)
     }
 
-    /// Returns the presolve infeasibility verdict for the *current*
-    /// configuration, if any, as a ready-to-return error. Domain-pass
-    /// conflicts are rung-invariant and replayed from `new()`; capacity
-    /// proofs are re-checked here because recovery rungs change λ_th and
-    /// margins. Disabled under certify, where the caller wants the
-    /// solver's DRAT-backed UNSAT instead.
-    fn presolve_fast_path(&mut self) -> Option<PlaceError> {
-        if !self.config.presolve.enabled || self.config.solver.certify {
+    /// Returns presolve's infeasibility proof for the current
+    /// configuration, if any, as a ready-to-return error. Every
+    /// configuration change reruns presolve, so the proof is current on
+    /// every recovery rung. Disabled under certify, where the caller wants
+    /// the solver's DRAT-backed UNSAT instead.
+    fn presolve_fast_path(&self) -> Option<PlaceError> {
+        if self.config.solver.certify {
             return None;
         }
-        let conflict = self.presolve_domain_conflict.clone().or_else(|| {
-            presolve::capacity_check(self.design, &self.config, &self.scale, &self.plan).err()
-        })?;
-        if let Some(stats) = &mut self.presolve {
-            stats.verdict = "infeasible".into();
-        }
+        let conflict = self.presolve_conflict.as_ref()?;
         let families = vec![conflict.family];
         let mut provenance = vec![conflict.message()];
         provenance.extend(self.store.provenance_lines(&families));
@@ -741,11 +729,15 @@ impl<'a> Placer<'a> {
     /// recovery is enabled ([`crate::RecoveryConfig`]) — a bounded ladder
     /// of targeted relaxations driven by the UNSAT attribution.
     ///
-    /// Relaxation rungs that change only constraint content (raising λ_th,
-    /// softening extensions) retire and re-lower just the blamed families
-    /// on the *live* solver, so learnt clauses from earlier rungs carry
-    /// over ([`crate::RungStats::learnts_carried`]). Only die widening —
-    /// which changes coordinate bit-widths — rebuilds from scratch.
+    /// Every rung moves the live placer to the relaxed configuration the
+    /// way [`Placer::rebase`] does: rungs that change only constraint
+    /// content (raising λ_th, softening extensions) retire and re-lower
+    /// just the families whose records changed, so learnt clauses from
+    /// earlier rungs carry over ([`crate::RungStats::learnts_carried`]). A
+    /// rung that changes no record skips its re-solve, since the formula
+    /// is the one just proved infeasible. A structural rung — die
+    /// widening, which changes coordinate bit-widths — rebuilds from
+    /// scratch.
     ///
     /// # Errors
     ///
@@ -786,81 +778,51 @@ impl<'a> Placer<'a> {
             0
         };
         let mut relaxations: Vec<Relaxation> = Vec::new();
-
-        loop {
-            match self.solve_rounds(t0, deadline) {
-                Ok(mut placement) => {
-                    if !relaxations.is_empty() {
-                        placement.stats.outcome = PlaceOutcome::Recovered { relaxations };
-                        placement.stats.runtime = t0.elapsed();
-                    }
-                    return Ok(placement);
-                }
-                Err(PlaceError::Infeasible {
-                    conflict,
-                    provenance,
-                    certificate,
-                }) => {
-                    let out_of_time = deadline.is_some_and(|d| Instant::now() >= d);
-                    if relaxations.len() >= max_rungs || out_of_time {
-                        return Err(PlaceError::Infeasible {
-                            conflict,
-                            provenance,
-                            certificate,
-                        });
-                    }
-                    let Some((relax, config)) = self.next_relaxation(&conflict, &relaxations)
-                    else {
-                        return Err(PlaceError::Infeasible {
-                            conflict,
-                            provenance,
-                            certificate,
-                        });
-                    };
-                    relaxations.push(relax.clone());
-                    let learnts_carried = self.smt.sat_stats().learnts;
-                    let rebuilt = match relax {
-                        // Content-only rungs: retire the blamed families'
-                        // selectors and re-lower just them on the live
-                        // core — everything the solver learnt from the
-                        // other families (and earlier rungs) stays useful.
-                        Relaxation::RaisePinDensity { .. } => {
-                            self.relower(config, &[ConstraintFamily::PinDensity]);
-                            false
-                        }
-                        Relaxation::RelaxExtensions { .. } => {
-                            // Extension margins feed both region/cell
-                            // spacing and array keepouts.
-                            self.relower(
-                                config,
-                                &[ConstraintFamily::CoreGeometry, ConstraintFamily::Arrays],
-                            );
-                            false
-                        }
-                        // Die widening changes coordinate bit-widths, so
-                        // the variable map — and with it every clause — is
-                        // invalidated: rebuild from scratch.
-                        Relaxation::WidenDie { .. } => {
-                            let cancel = self.cancel.take();
-                            let rungs = std::mem::take(&mut self.rungs);
-                            let warm = self.warm_pending.take();
-                            *self = Placer::new(self.design, config)?;
-                            self.rungs = rungs;
-                            self.warm_pending = warm;
-                            self.set_cancel_flag(cancel);
-                            self.smt.set_deadline(deadline);
-                            true
-                        }
-                    };
-                    self.rungs.push(RungStats {
-                        relaxation: relaxations.last().expect("just pushed").clone(),
-                        learnts_carried: if rebuilt { 0 } else { learnts_carried },
-                        rebuilt,
-                    });
-                }
-                Err(e) => return Err(e),
+        let mut result = self.solve_rounds(t0, deadline);
+        while let Err(PlaceError::Infeasible { conflict, .. }) = &result {
+            let out_of_time = deadline.is_some_and(|d| Instant::now() >= d);
+            if relaxations.len() >= max_rungs || out_of_time {
+                break;
+            }
+            let Some((relax, config)) = self.next_relaxation(conflict, &relaxations) else {
+                break;
+            };
+            relaxations.push(relax.clone());
+            let learnts_carried = self.smt.sat_stats().learnts;
+            // The job's presolve verdict keeps describing the configuration
+            // it was asked to solve; the saved bits describe the solver.
+            let presolve = self.presolve.clone();
+            let reuse = self.reconfigure(config.clone())?;
+            let rebuilt = reuse == WarmReuse::Structural;
+            if rebuilt {
+                let cancel = self.cancel.take();
+                let rungs = std::mem::take(&mut self.rungs);
+                let warm = self.warm_pending.take();
+                *self = Placer::new(self.design, config)?;
+                self.rungs = rungs;
+                self.warm_pending = warm;
+                self.set_cancel_flag(cancel);
+                self.smt.set_deadline(deadline);
+            }
+            self.presolve = presolve.map(|stats| PresolveStats {
+                vars_saved_bits: self.vars.saved_bits,
+                ..stats
+            });
+            self.rungs.push(RungStats {
+                relaxation: relax,
+                learnts_carried: if rebuilt { 0 } else { learnts_carried },
+                rebuilt,
+            });
+            if reuse != WarmReuse::Identical {
+                result = self.solve_rounds(t0, deadline);
             }
         }
+        let mut placement = result?;
+        if !relaxations.is_empty() {
+            placement.stats.outcome = PlaceOutcome::Recovered { relaxations };
+            placement.stats.runtime = t0.elapsed();
+        }
+        Ok(placement)
     }
 
     /// The Algorithm 1 incremental loop: a feasibility solve, then
@@ -1141,112 +1103,6 @@ impl<'a> Placer<'a> {
                 sel
             }
         }
-    }
-
-    /// Retires the listed families' selectors on the live solver, re-emits
-    /// their constraints under `config`, and lowers the fresh records as a
-    /// new guard generation. Learnt clauses that depend on a retired
-    /// selector become vacuous; everything else the solver knows survives.
-    ///
-    /// Only valid for relaxations that keep the coordinate bit-widths (and
-    /// hence the [`VarMap`]) intact — λ_th raises and extension softening,
-    /// not die widening.
-    fn relower(&mut self, config: PlacerConfig, families: &[ConstraintFamily]) {
-        self.config = config;
-        self.generation += 1;
-
-        let (dropped, kept): (Vec<_>, Vec<_>) = self
-            .selectors
-            .drain(..)
-            .partition(|(fam, _)| families.contains(fam));
-        self.selectors = kept;
-        for (_, sel) in dropped {
-            self.retired.push(sel);
-            self.smt.retire(sel);
-        }
-
-        self.store.remove_families(families);
-        let mark = self.store.len();
-        for &family in families {
-            match family {
-                ConstraintFamily::CoreGeometry => {
-                    encode::region::assert_regions(
-                        &mut self.smt,
-                        &mut self.store,
-                        self.design,
-                        &self.scale,
-                        &self.vars,
-                        &self.config,
-                    );
-                    encode::region::assert_containment(
-                        &mut self.smt,
-                        &mut self.store,
-                        self.design,
-                        &self.scale,
-                        &self.vars,
-                    );
-                    let margins =
-                        encode::region::cell_margins(self.design, &self.scale, &self.config);
-                    encode::region::assert_cell_non_overlap(
-                        &mut self.smt,
-                        &mut self.store,
-                        self.design,
-                        &self.scale,
-                        &self.vars,
-                        &self.config,
-                        &margins,
-                    );
-                }
-                ConstraintFamily::Arrays => {
-                    if self.config.toggles.arrays {
-                        encode::array::assert_arrays(
-                            &mut self.smt,
-                            &mut self.store,
-                            self.design,
-                            &self.scale,
-                            &self.vars,
-                            &self.config,
-                        );
-                    }
-                }
-                ConstraintFamily::PinDensity => {
-                    if let Some(pd) = self.config.pin_density.clone() {
-                        let info = encode::pin_density::assert_pin_density(
-                            &mut self.smt,
-                            &mut self.store,
-                            self.design,
-                            &self.scale,
-                            &self.vars,
-                            &pd,
-                        );
-                        self.pd_check = Some(PinDensityCheck {
-                            beta_x: info.beta_x,
-                            beta_y: info.beta_y,
-                            lambda: info.lambda,
-                            stride_x: pd.stride_x,
-                            stride_y: pd.stride_y,
-                        });
-                    } else {
-                        // A rebase can turn pin density off entirely; the
-                        // stale check must not leak into the placement.
-                        self.pd_check = None;
-                    }
-                }
-                ConstraintFamily::Symmetry
-                | ConstraintFamily::PowerAbutment
-                | ConstraintFamily::Wirelength => {
-                    unreachable!("no relaxation rung re-lowers {family}")
-                }
-            }
-        }
-
-        let lowering = self.store.lower_from(&mut self.smt, self.generation, mark);
-        self.lowering += lowering.elapsed;
-        self.families.retain(|fs| !families.contains(&fs.family));
-        self.families.extend(lowering.families);
-        self.families.sort_by_key(|fs| fs.family);
-        self.selectors.extend(lowering.selectors);
-        debug_assert_eq!(self.validate_lowering(), Ok(()));
     }
 
     /// Shapes a first-solve UNSAT into [`PlaceError::Infeasible`]: the

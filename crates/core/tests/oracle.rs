@@ -178,3 +178,52 @@ fn detects_array_density_break() {
             || has_kind(&violations, ViolationKind::Overlap)
     );
 }
+
+#[test]
+fn pin_density_checks_the_last_window_of_an_off_stride_die() {
+    use ams_netlist::{DesignBuilder, Rect};
+    use ams_place::{PinDensityCheck, PlaceStats, Placement};
+
+    // An 11 × 2 die with 4 × 2 windows at x-stride 2: the stride-stepped
+    // origins 0, 2, 4, 6 miss the last column, which only the final origin
+    // 7 covers. Two 5-pin cells crowd into that column, over λ = 9.
+    let mut b = DesignBuilder::new("off_stride");
+    let r = b.add_region("r", 0.5);
+    let g = b.add_power_group("vdd");
+    let n = b.add_net("n", 1);
+    for i in 0..2 {
+        let c = b.add_cell(format!("c{i}"), r, 1, 1, g);
+        for p in 0..5 {
+            b.add_pin(c, format!("p{p}"), Some(n), 0, 0);
+        }
+    }
+    let design = b.build().expect("valid");
+    let die = Rect::new(0, 0, 11, 2);
+    let placement = Placement {
+        cells: (0..2).map(|y| Rect::new(10, y, 1, 1)).collect(),
+        regions: vec![die],
+        die,
+        edge_cells: Vec::new(),
+        dummy_cells: Vec::new(),
+        units: (1, 1),
+        pin_density: Some(PinDensityCheck {
+            beta_x: 4,
+            beta_y: 2,
+            lambda: 9,
+            stride_x: 2,
+            stride_y: 1,
+        }),
+        stats: PlaceStats::default(),
+    };
+    let violations = placement.verify(&design).expect_err("must flag");
+    assert!(
+        has_kind(&violations, ViolationKind::PinDensity),
+        "{violations:?}"
+    );
+    assert!(
+        violations
+            .iter()
+            .all(|v| v.kind == ViolationKind::PinDensity),
+        "only the crowded window may fail: {violations:?}"
+    );
+}

@@ -121,19 +121,6 @@ fn domain_pruning_shrinks_the_encoding() {
     }
 }
 
-#[test]
-fn measured_savings_report_the_clause_delta() {
-    let design = benchmarks::buf();
-    let mut cfg = PlacerConfig::default();
-    cfg.presolve.measure_savings = true;
-    let p = Placer::new(&design, cfg).expect("build succeeds");
-    let ps = p.presolve_stats().expect("presolve ran");
-    let saved = ps
-        .clauses_saved
-        .expect("measure_savings fills the clause delta");
-    assert!(saved > 0, "narrowed variables must shed clauses");
-}
-
 fn assert_pruning_agrees(design: &ams_netlist::Design, mut cfg: PlacerConfig) {
     // Soundness, end to end: with and without domain pruning the placer
     // must reach the same verdict and produce verify-clean placements.

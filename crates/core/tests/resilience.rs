@@ -214,3 +214,46 @@ fn deadline_free_sequential_runs_stay_deterministic() {
     assert_eq!(a.stats.conflicts, b.stats.conflicts);
     assert_eq!(a.stats.outcome, b.stats.outcome);
 }
+
+#[test]
+fn rungs_that_change_no_constraint_skip_their_re_solve() {
+    // Corpus scenario 296 needs a wider die, but the ladder first softens
+    // extension margins twice. The design has no extension constraints,
+    // so neither rung changes a record: the placer moves on without
+    // re-solving, and both rungs carry the same learnt clauses.
+    let s = ams_place::scenario::scenario(296);
+    let options = ams_place::api::JobOptions {
+        quick: true,
+        threads: Some(1),
+        ..Default::default()
+    };
+    let p = Placer::new(&s.design, s.config(options.to_config()))
+        .expect("encode")
+        .place()
+        .expect("the ladder recovers scenario 296");
+    p.verify(&s.design).expect("recovered placement is legal");
+    let rungs = &p.stats.rungs;
+    let [soften, soften_more, widen, ..] = rungs.as_slice() else {
+        panic!("expected two softening rungs and a widening one: {rungs:?}");
+    };
+    assert_eq!(
+        soften.relaxation,
+        Relaxation::RelaxExtensions { scale: 0.5 },
+        "{rungs:?}"
+    );
+    assert_eq!(
+        soften_more.relaxation,
+        Relaxation::RelaxExtensions { scale: 0.0 },
+        "{rungs:?}"
+    );
+    assert!(!soften.rebuilt && !soften_more.rebuilt, "{rungs:?}");
+    assert!(soften.learnts_carried > 0, "{rungs:?}");
+    assert_eq!(
+        soften.learnts_carried, soften_more.learnts_carried,
+        "no solve may run between rungs that change nothing: {rungs:?}"
+    );
+    assert!(
+        matches!(widen.relaxation, Relaxation::WidenDie { .. }) && widen.rebuilt,
+        "{rungs:?}"
+    );
+}

@@ -114,3 +114,47 @@ fn structural_deltas_refuse_warm_reuse() {
     let placement = placer.place_mut().expect("solve after refusals");
     placement.verify(&d).expect("placement is legal");
 }
+
+#[test]
+fn softened_array_extensions_relower_the_keepouts() {
+    use ams_netlist::{
+        ArrayConstraint, ArrayPattern, DesignBuilder, ExtensionConstraint, ExtensionTarget,
+    };
+    // A dense 4-cell array with a 2-grid extension margin, and one
+    // non-member in its region that the keepout holds clear of the box.
+    let mut b = DesignBuilder::new("keepout");
+    let r = b.add_region("core", 0.5);
+    let pg = b.add_power_group("VDD");
+    let n = b.add_net("n", 1);
+    let cells: Vec<_> = (0..5)
+        .map(|i| b.add_cell(format!("c{i}"), r, 2, 2, pg))
+        .collect();
+    b.add_pin(cells[0], "p", Some(n), 0, 0);
+    b.add_pin(cells[4], "p", Some(n), 0, 0);
+    let array = b.add_array(ArrayConstraint {
+        name: "a".into(),
+        cells: cells[..4].to_vec(),
+        pattern: ArrayPattern::Dense,
+    });
+    b.add_extension(ExtensionConstraint {
+        target: ExtensionTarget::Array(array),
+        left: 2,
+        right: 2,
+        bottom: 2,
+        top: 2,
+    });
+    let d = b.build().expect("valid");
+    let mut placer = Placer::new(&d, reusable_config(14)).expect("encode");
+
+    // The recovery ladder's extension softening shrinks the keepout
+    // margins, so the array family re-lowers.
+    let mut softened = reusable_config(14);
+    softened.extension_scale = 0.0;
+    assert_eq!(
+        placer.rebase(softened).expect("rebase"),
+        WarmReuse::Relowered {
+            families: vec![ConstraintFamily::Arrays],
+            learnts_carried: 0,
+        }
+    );
+}

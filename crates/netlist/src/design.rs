@@ -282,7 +282,7 @@ impl Design {
 
     /// Serializes to pretty JSON.
     pub fn to_json(&self) -> String {
-        ser::design(self).pretty()
+        self.to_json_value().pretty()
     }
 
     /// Deserializes from JSON produced by [`Design::to_json`].
@@ -291,7 +291,22 @@ impl Design {
     ///
     /// Returns a [`JsonError`] on malformed input or schema mismatches.
     pub fn from_json(s: &str) -> Result<Design, JsonError> {
-        de::design(&Json::parse(s)?)
+        Design::from_json_value(&Json::parse(s)?)
+    }
+
+    /// The [`Json`] document [`Design::to_json`] prints, for embedding a
+    /// design in a larger document without printing and parsing it.
+    pub fn to_json_value(&self) -> Json {
+        ser::design(self)
+    }
+
+    /// Deserializes a [`Json`] document of the [`Design::to_json`] schema.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] on schema mismatches.
+    pub fn from_json_value(v: &Json) -> Result<Design, JsonError> {
+        de::design(v)
     }
 }
 

@@ -330,14 +330,25 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let start = self.pos;
+            // Copy the run up to the next quote or backslash in one step.
+            // Both are ASCII, so they never split a UTF-8 sequence of the
+            // input (a `&str`), and each run is valid UTF-8 on its own.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let text = std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
+            out.push_str(text);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -364,14 +375,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -445,6 +448,29 @@ mod tests {
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 1 MiB string of multi-byte characters must parse far under a
+        // second even in the debug profile: the parser may not do work
+        // proportional to the rest of the document per character.
+        let long = "ab\u{e9}\u{1F600}".repeat(1 << 17);
+        let text = Json::Arr(vec![Json::str(&long)]).pretty();
+        assert!(text.len() > 1 << 20);
+        let started = std::time::Instant::now();
+        let back = Json::parse(&text).expect("parse");
+        let elapsed = started.elapsed();
+        assert_eq!(back.items().unwrap()[0].as_str(), Some(long.as_str()));
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
+
+        // Non-ASCII text and every escape round-trip unchanged.
+        let mixed = "Grüße, 世界 🌍: \"q\" \\ / \n\r\t \u{8}\u{c}\u{1}";
+        let doc = Json::obj([("s", Json::str(mixed))]);
+        let back = Json::parse(&doc.pretty()).expect("parse");
+        assert_eq!(back.field("s").and_then(Json::as_str), Some(mixed));
+        let escaped = Json::parse(r#""\u00e9\/\b\f""#).expect("parse");
+        assert_eq!(escaped.as_str(), Some("\u{e9}/\u{8}\u{c}"));
     }
 
     #[test]

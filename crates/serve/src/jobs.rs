@@ -14,12 +14,13 @@
 //! 2. **Warm-solver pool** — keyed by `design_hash` alone. Each entry
 //!    owns a live [`Placer`] built with `SolverConfig::reusable`. A new
 //!    job for the same design goes through [`Placer::rebase`]: the
-//!    incoming configuration is scratch-encoded, its
-//!    [`ConstraintStore`](ams_place::ir) is diffed against the live one,
-//!    and when only content-relowerable families differ (λ_th moves, a
-//!    window reshapes) just those families' selector groups are retired
-//!    and re-lowered — the SAT core keeps its learnt clauses and saved
-//!    phases. Structural deltas fall back to a cold build.
+//!    design is re-encoded under the incoming configuration on the live
+//!    solver, its [`ConstraintStore`](ams_place::ir) records are diffed
+//!    against the live ones, and when only re-lowerable families differ
+//!    (λ_th moves, a window reshapes) just those families' selector
+//!    groups are retired and re-lowered — the SAT core keeps its learnt
+//!    clauses and saved phases. Structural deltas fall back to a cold
+//!    build.
 //!
 //! ## Durability & overload
 //!

@@ -11,7 +11,7 @@
 //!   a repeat of an identical request returns the stored response
 //!   bit-for-bit, marked `cached: true`;
 //! * a **warm-solver pool** keyed by design hash — a request whose
-//!   configuration differs only in content-relowerable constraint
+//!   configuration differs only in re-lowerable constraint
 //!   families (the λ_th pin-density cap, say) is re-solved on the live
 //!   incremental solver via [`Placer::rebase`](ams_place::Placer::rebase):
 //!   the changed families' selector groups are retired and re-lowered

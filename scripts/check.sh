@@ -21,6 +21,12 @@ echo "==> benchmark harness (examples/bench, its own workspace)"
 # placer's public entry points (lint, presolve, Placer, the service).
 cargo test --release --manifest-path examples/bench/Cargo.toml
 
+echo "==> deterministic counters (benchmark vs scripts/counters.json)"
+# Every count, um and ratio metric of corpus-place and closure-starved
+# must equal the committed baseline. A change that moves them on purpose
+# reruns the script with --update and says why.
+scripts/counters.sh
+
 echo "==> cargo test (parallel portfolio, AMSPLACE_THREADS=4)"
 # Re-runs the placement-facing suites with the portfolio as the default
 # solver path, so the multi-threaded dispatch stays covered by CI.

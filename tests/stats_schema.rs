@@ -48,13 +48,7 @@ const CERTIFY_FIELDS: &[&str] = &["cnf_clauses", "model_violations", "proof_step
 
 const FAMILY_FIELDS: &[&str] = &["clauses", "constraints", "family"];
 
-const PRESOLVE_FIELDS: &[&str] = &[
-    "clauses_saved",
-    "passes",
-    "ran",
-    "vars_saved_bits",
-    "verdict",
-];
+const PRESOLVE_FIELDS: &[&str] = &["passes", "ran", "vars_saved_bits", "verdict"];
 
 const PRESOLVE_PASS_FIELDS: &[&str] = &["detail", "pass", "verdict"];
 
