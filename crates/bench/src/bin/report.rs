@@ -1,9 +1,10 @@
 //! One-pass evaluation report: runs each benchmark's three arms once and
 //! prints every table/figure that depends on them (Tables III+IV from the
 //! BUF arms; Tables V+VI and Fig. 7 from the VCO arms), plus Table II.
+//! Each SMT arm's outcome and conflict count print next to its runtime, so
+//! a row cut short by its budget is visible as such.
 //!
-//! This is what `results/` is generated from; the per-table binaries
-//! remain for focused reruns.
+//! This is what `results/` is generated from (`--quick` for smoke runs).
 
 use ams_bench::{
     paper, presets, print_arm_header, print_ratio_row, quick_mode, run_manual_arm, run_smt_arm, Arm,
@@ -212,6 +213,12 @@ fn print_table3_like(title: &str, manual: &Arm, wo: &Arm, w: &Arm) {
         ],
         "s",
     );
+    for arm in [wo, w] {
+        println!(
+            "{}: {} after {} conflicts",
+            arm.name, arm.placement.stats.outcome, arm.placement.stats.conflicts
+        );
+    }
     println!(
         "overflow: w/o = {}, w/ = {} (0 = routable)",
         wo.route.overflow, w.route.overflow

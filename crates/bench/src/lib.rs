@@ -1,8 +1,8 @@
 //! # ams-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper
-//! (`table2` … `table6`, `fig7`, or `report` for all of them in one pass),
-//! each printing paper-reported values next to the values measured on this
+//! The experiment harness: the `report` binary runs each benchmark's
+//! evaluation arms once and prints every table and figure of the paper,
+//! paper-reported values next to the values measured on this
 //! reproduction.
 //!
 //! The full pipeline per evaluation arm is: generate benchmark → place

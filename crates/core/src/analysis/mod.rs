@@ -20,7 +20,6 @@ mod capacity;
 mod configcheck;
 mod explain;
 pub mod presolve;
-mod structure;
 
 pub use crate::ir::ConstraintFamily;
 pub use explain::{explain_unsat, UnsatOutcome};
@@ -48,10 +47,10 @@ pub fn lint(design: &Design, config: &PlacerConfig) -> LintReport {
 
 /// Lints a design against an explicit constraint set.
 ///
-/// The structural checks run on `constraints` — which may differ from the
-/// design's own set, e.g. a candidate set the
-/// [`ams_netlist::DesignBuilder`] would reject — while the geometric
-/// capacity proofs use the design as built.
+/// The structural checks ([`ams_netlist::structure::check`]) run on
+/// `constraints` — which may differ from the design's own set, e.g. a
+/// candidate set the [`ams_netlist::DesignBuilder`] would reject — while
+/// the geometric capacity proofs use the design as built.
 pub fn lint_with(
     design: &Design,
     constraints: &ConstraintSet,
@@ -74,7 +73,7 @@ pub(crate) fn lint_report(
 ) -> LintReport {
     let mut report = LintReport::new();
     configcheck::check(config, &mut report);
-    structure::check(design, constraints, &mut report);
+    ams_netlist::structure::check(design, constraints, &mut report);
     capacity::check(design, config, scale, proofs, &mut report);
     report
 }

@@ -159,23 +159,18 @@ fn pin_density(design: &Design, config: &PlacerConfig, scale: &ScaleInfo) -> Vec
 /// `2·x + w = axis2`, so two self-symmetric cells on the same (shared)
 /// axis with different width parities contradict (Eq. 8). Horizontal
 /// groups constrain heights instead.
-///
-/// The lint gate runs on the proofs, so they must survive designs that
-/// skipped builder validation: an axis link that does not point to an
-/// earlier group (`AMS-E003`) ends the walk to the root, and a dangling
-/// cell (`AMS-E002`) pins nothing.
 fn symmetry_parity(design: &Design, scale: &ScaleInfo) -> Option<PresolveConflict> {
     let groups = &design.constraints().symmetry;
-    let ncells = design.cells().len();
     // Per resolved axis root: the parity pinned so far and who pinned it.
     let mut pinned: Vec<Option<(u64, usize)>> = vec![None; groups.len()];
     for (gi, g) in groups.iter().enumerate() {
         let mut root = gi;
-        while let Some(parent) = groups[root].share_axis_with.filter(|&p| p < root) {
+        // Validation orders every parent before its children.
+        while let Some(parent) = groups[root].share_axis_with {
             root = parent;
         }
         for p in &g.pairs {
-            if p.b.is_some() || p.a.index() >= ncells {
+            if p.b.is_some() {
                 continue;
             }
             let dim = match g.axis {

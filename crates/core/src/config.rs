@@ -140,9 +140,6 @@ pub struct OptimizeConfig {
     pub freeze: bool,
     /// Fraction of cells frozen per iteration, accumulated over iterations.
     pub freeze_fraction: f64,
-    /// If an iteration is UNSAT *because of* frozen assumptions, retry it
-    /// once without freezing before giving up.
-    pub retry_unfrozen: bool,
     /// Conflict budget per optimization-round SAT call; `None` is unlimited.
     pub conflict_budget: Option<u64>,
     /// Conflict budget for the *first* (feasibility) solve, which must
@@ -159,7 +156,6 @@ impl Default for OptimizeConfig {
             zeta_min: 0.70,
             freeze: true,
             freeze_fraction: 0.25,
-            retry_unfrozen: true,
             conflict_budget: Some(100_000),
             first_conflict_budget: Some(3_000_000),
         }
@@ -365,9 +361,6 @@ pub struct PlacerConfig {
     pub pin_density: Option<PinDensityConfig>,
     /// Incremental wirelength optimization settings.
     pub optimize: OptimizeConfig,
-    /// Encode exact (tight) net bounding boxes instead of relaxed ones.
-    /// Relaxed boxes are sound for optimization and smaller to encode.
-    pub exact_bbox: bool,
     /// Encode arrays by canonical slot assignment (members pinned to slots
     /// of the chosen shape, with common-centroid A/B partitions computed
     /// statically) instead of the literal Eq. 9–10 packing constraints.
@@ -396,7 +389,6 @@ impl Default for PlacerConfig {
             toggles: ConstraintToggles::all(),
             pin_density: Some(PinDensityConfig::default()),
             optimize: OptimizeConfig::default(),
-            exact_bbox: false,
             array_slots: true,
             solver: SolverConfig::default(),
             recovery: RecoveryConfig::default(),

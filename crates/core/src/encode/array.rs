@@ -45,12 +45,7 @@ pub(crate) fn assert_arrays(
             ArrayPattern::Interdigitated { .. } | ArrayPattern::CentralSymmetric { .. }
         );
         let slotted = (config.array_slots || force_slots)
-            && assert_array_slots(smt, store, design, scale, vars, ai);
-        assert!(
-            slotted || !force_slots,
-            "array {} pattern admits no slot assignment on this die",
-            arr.name
-        );
+            && assert_array_slots(smt, store, design, scale, vars, ai, force_slots);
         if !slotted {
             assert_array_literal(smt, store, design, scale, vars, ai);
         }
@@ -129,7 +124,7 @@ fn slot_order_for_shape(design: &Design, ai: usize, cols: u64, rows: u64) -> Opt
             // Groups alternate along each row (ABAB…); a shape is usable
             // when every row holds a whole number of interleave periods.
             let g = groups.len() as u64;
-            if g == 0 || !cols.is_multiple_of(g) {
+            if !cols.is_multiple_of(g) {
                 return None;
             }
             let n = arr.cells.len();
@@ -198,7 +193,9 @@ fn slot_order_for_shape(design: &Design, ai: usize, cols: u64, rows: u64) -> Opt
     }
 }
 
-/// Slot-mode encoding; returns `false` when no static partition exists.
+/// Slot-mode encoding; returns `false` when no static partition exists,
+/// unless the pattern is `forced` into slots: then the array's disjunction
+/// of options is empty, asserted false, and the solve fails on this array.
 fn assert_array_slots(
     smt: &mut Smt,
     store: &mut ConstraintStore,
@@ -206,6 +203,7 @@ fn assert_array_slots(
     scale: &ScaleInfo,
     vars: &VarMap,
     ai: usize,
+    forced: bool,
 ) -> bool {
     let arr = &design.constraints().arrays[ai];
     let bx = vars.array_box[ai];
@@ -214,13 +212,8 @@ fn assert_array_slots(
     let ch = scale.height_of(arr.cells[0]);
     let n = arr.cells.len() as u64;
     let shapes = shape_candidates(scale, n, cw, ch);
-    assert!(
-        !shapes.is_empty(),
-        "array {} admits no feasible shape on this die",
-        arr.name
-    );
     let usable = usable_shapes(design, ai, &shapes);
-    if usable.is_empty() {
+    if usable.is_empty() && !forced {
         return false;
     }
 
@@ -299,13 +292,9 @@ fn assert_array_literal(
         store.assert(some);
     }
 
-    // Density (Eq. 9) as a disjunction over feasible factorizations.
+    // Density (Eq. 9) as a disjunction over feasible factorizations; none
+    // fitting the die leaves it empty, which is false.
     let shapes = shape_candidates(scale, n, cw, ch);
-    assert!(
-        !shapes.is_empty(),
-        "array {} admits no feasible shape on this die",
-        arr.name
-    );
     let mut dims: Vec<Term> = Vec::new();
     for &(cols, rows) in &shapes {
         let xl_dw = off_const(smt, bx.xl, cols * u64::from(cw), lwx);

@@ -67,7 +67,7 @@ pub(crate) fn encode_design(
         .pin_density
         .as_ref()
         .map(|pd| pin_density::assert_pin_density(smt, &mut store, design, scale, vars, pd));
-    let (phi, phi_w) = wirelength::assert_wirelength(smt, &mut store, design, scale, vars, config);
+    let (phi, phi_w) = wirelength::assert_wirelength(smt, &mut store, design, scale, vars);
     Encoding {
         store,
         pd_info,

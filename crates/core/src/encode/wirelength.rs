@@ -6,10 +6,7 @@
 //! `xh_n − xl_n` over-approximates the true span. Minimization pressure from
 //! `Φ < ζ·Φ'` keeps the slack tight, and the measured wirelength is always
 //! recomputed from actual cell positions, so reported numbers are exact.
-//! `exact_bbox` additionally pins each edge to some member (the literal
-//! Table I reading) at extra encoding cost.
 
-use crate::config::PlacerConfig;
 use crate::ir::{ConstraintFamily, ConstraintStore, Provenance};
 use crate::scale::ScaleInfo;
 use crate::vars::VarMap;
@@ -24,7 +21,6 @@ pub(crate) fn assert_wirelength(
     design: &Design,
     scale: &ScaleInfo,
     vars: &VarMap,
-    config: &PlacerConfig,
 ) -> (Term, u32) {
     store.family(ConstraintFamily::Wirelength);
     let span_w = scale.lx.max(scale.ly);
@@ -43,12 +39,7 @@ pub(crate) fn assert_wirelength(
             continue;
         };
         store.at(Provenance::Net(n));
-        let members = net_cells(design, n);
-        let mut touch_xl = Vec::new();
-        let mut touch_xh = Vec::new();
-        let mut touch_yl = Vec::new();
-        let mut touch_yh = Vec::new();
-        for &c in &members {
+        for c in net_cells(design, n) {
             let x = vars.cell_x[c.index()];
             let y = vars.cell_y[c.index()];
             let lo_x = smt.ule(bx.xl, x);
@@ -59,18 +50,6 @@ pub(crate) fn assert_wirelength(
             store.assert(lo_y);
             let hi_y = smt.ule(y, bx.yh);
             store.assert(hi_y);
-            if config.exact_bbox {
-                touch_xl.push(smt.eq(bx.xl, x));
-                touch_xh.push(smt.eq(bx.xh, x));
-                touch_yl.push(smt.eq(bx.yl, y));
-                touch_yh.push(smt.eq(bx.yh, y));
-            }
-        }
-        if config.exact_bbox {
-            for touches in [touch_xl, touch_xh, touch_yl, touch_yh] {
-                let some = smt.or(&touches);
-                store.assert(some);
-            }
         }
 
         // Weighted span contribution: η_n · ((xh−xl) + (yh−yl)).
@@ -136,6 +115,7 @@ pub(crate) fn measure_weighted_hpwl(design: &Design, vars: &VarMap, xs: &[u64], 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PlacerConfig;
     use crate::power::PowerPlan;
     use ams_netlist::benchmarks::{self, SyntheticParams};
     use ams_netlist::rng::SplitMix64;

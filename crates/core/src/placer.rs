@@ -920,7 +920,7 @@ impl<'a> Placer<'a> {
                     if best.is_none() {
                         return Err(self.infeasible());
                     }
-                    if !freeze.is_empty() && opt.retry_unfrozen && !retried_unfrozen {
+                    if !freeze.is_empty() && !retried_unfrozen {
                         // The freeze may be what blocks improvement; retry
                         // this round with everything free.
                         freeze.clear();

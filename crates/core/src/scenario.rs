@@ -334,6 +334,17 @@ mod tests {
     }
 
     #[test]
+    fn smoke_slice_designs_parse_back_to_themselves() {
+        // The 25 evenly strided indices `scripts/corpus.sh smoke` places.
+        let stride = CORPUS_SIZE / 25;
+        for index in (0..25).map(|k| k * stride) {
+            let design = scenario(index).design;
+            let back = Design::from_json(&design.to_json()).expect("own output parses");
+            assert_eq!(back, design, "scenario {index}");
+        }
+    }
+
+    #[test]
     fn out_of_range_index_panics() {
         assert!(std::panic::catch_unwind(|| params(CORPUS_SIZE)).is_err());
     }

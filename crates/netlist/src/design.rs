@@ -1,18 +1,21 @@
 //! The [`Design`]: a validated region-based AMS circuit, plus its builder.
 
-use crate::constraint::{ArrayPattern, ConstraintSet, ExtensionTarget};
+use crate::constraint::{ConstraintSet, ExtensionTarget};
+use crate::diag::{DiagCode, Diagnostic, LintReport};
 use crate::elements::{Cell, CellKind, Net, Pin, PowerGroup, Region};
 use crate::geom::Pitch;
 use crate::ids::{CellId, NetId, PowerGroupId, RegionId};
 use crate::json::{Json, JsonError};
+use crate::structure;
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-/// Validation failure while building a [`Design`].
+/// Validation failure while building or parsing a [`Design`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ValidateDesignError {
-    /// A referenced id does not exist.
+    /// A cell or pin references a region, power group or net that does
+    /// not exist.
     DanglingId {
         /// What kind of entity was referenced.
         what: &'static str,
@@ -48,22 +51,14 @@ pub enum ValidateDesignError {
         /// Offending net name.
         net: String,
     },
-    /// Symmetry pair members differ in size or region.
-    AsymmetricPair {
-        /// Constraint name.
-        group: String,
-    },
-    /// Array cells differ in size or region.
-    RaggedArray {
-        /// Constraint name.
-        array: String,
-    },
-    /// An array pattern's groups/pairs do not partition the array (e.g.
-    /// overlapping common-centroid groups, ragged interdigitation groups,
-    /// or central-symmetric pairs that miss members).
-    BadCentroidGroups {
-        /// Constraint name.
-        array: String,
+    /// The constraint set is malformed: the structural check
+    /// ([`crate::structure::check`]) found dangling ids (`AMS-E002`,
+    /// `AMS-E003`, `AMS-E005`, `AMS-E014`), incongruent symmetry pairs or
+    /// arrays (`AMS-E001`, `AMS-E006`), or an array pattern that does not
+    /// partition its array (`AMS-E007`).
+    Constraints {
+        /// The rejecting findings, in check order.
+        findings: Vec<Diagnostic>,
     },
     /// A region utilization ratio is outside (0, 1].
     BadUtilization {
@@ -98,17 +93,12 @@ impl fmt::Display for ValidateDesignError {
             ValidateDesignError::UnderConnectedNet { net } => {
                 write!(f, "net {net:?} connects fewer than two pins")
             }
-            ValidateDesignError::AsymmetricPair { group } => {
-                write!(
-                    f,
-                    "symmetry group {group:?} pairs cells of unequal size or region"
-                )
-            }
-            ValidateDesignError::RaggedArray { array } => {
-                write!(f, "array {array:?} mixes cell sizes or regions")
-            }
-            ValidateDesignError::BadCentroidGroups { array } => {
-                write!(f, "array {array:?} has invalid pattern groups or pairs")
+            ValidateDesignError::Constraints { findings } => {
+                write!(f, "malformed constraints")?;
+                for d in findings {
+                    write!(f, "; {}[{}] {}", d.severity(), d.code.code(), d.message)?;
+                }
+                Ok(())
             }
             ValidateDesignError::BadUtilization { region } => {
                 write!(f, "region {region:?} utilization must be in (0, 1]")
@@ -122,9 +112,10 @@ impl Error for ValidateDesignError {}
 
 /// A validated, immutable region-based AMS circuit.
 ///
-/// Construct with [`DesignBuilder`]. All invariants the placement engine
-/// relies on (consistent ids, uniform region heights, in-bounds pins,
-/// well-formed constraints) are checked at build time.
+/// Construct with [`DesignBuilder`] or parse with [`Design::from_json`].
+/// Both run the same validation, so every value meets the invariants the
+/// placement engine relies on: consistent ids, uniform region heights,
+/// in-bounds pins, and well-formed constraints.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Design {
     name: String,
@@ -134,7 +125,8 @@ pub struct Design {
     cells: Vec<Cell>,
     nets: Vec<Net>,
     constraints: ConstraintSet,
-    /// Per-net connection index: (cell, pin index within the cell).
+    /// Per-net connection index: (cell, pin index within the cell),
+    /// derived from the pins during validation.
     net_pins: Vec<Vec<(CellId, usize)>>,
 }
 
@@ -285,11 +277,13 @@ impl Design {
         self.to_json_value().pretty()
     }
 
-    /// Deserializes from JSON produced by [`Design::to_json`].
+    /// Deserializes and validates JSON produced by [`Design::to_json`].
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on malformed input or schema mismatches.
+    /// Returns a [`JsonError`] on malformed input, schema mismatches, or a
+    /// design [`DesignBuilder::build`] would reject; the message then
+    /// carries the [`ValidateDesignError`] and any lint codes.
     pub fn from_json(s: &str) -> Result<Design, JsonError> {
         Design::from_json_value(&Json::parse(s)?)
     }
@@ -300,15 +294,181 @@ impl Design {
         ser::design(self)
     }
 
-    /// Deserializes a [`Json`] document of the [`Design::to_json`] schema.
+    /// Deserializes and validates a [`Json`] document of the
+    /// [`Design::to_json`] schema. A `net_pins` key, which older documents
+    /// carry, is ignored: the connection index is derived from the pins.
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on schema mismatches.
+    /// As [`Design::from_json`], minus the syntax errors.
     pub fn from_json_value(v: &Json) -> Result<Design, JsonError> {
-        de::design(v)
+        de::design(v)?.validated().map_err(|e| JsonError {
+            offset: 0,
+            message: format!("invalid design: {e}"),
+        })
+    }
+
+    /// Checks every invariant the placement engine relies on and derives
+    /// the per-net connection index: the one validation of a design,
+    /// built or parsed.
+    fn validated(mut self) -> Result<Design, ValidateDesignError> {
+        for (what, empty) in [
+            ("regions", self.regions.is_empty()),
+            ("cells", self.cells.is_empty()),
+            ("power groups", self.power_groups.is_empty()),
+        ] {
+            if empty {
+                return Err(ValidateDesignError::Empty { what });
+            }
+        }
+        self.check_names()?;
+        self.check_cells()?;
+        self.check_regions()?;
+        self.net_pins = self.index_nets();
+
+        let mut report = LintReport::new();
+        structure::check(&self, &self.constraints, &mut report);
+        let findings: Vec<Diagnostic> = report
+            .diagnostics
+            .into_iter()
+            .filter(|d| REJECTED.contains(&d.code))
+            .collect();
+        if !findings.is_empty() {
+            return Err(ValidateDesignError::Constraints { findings });
+        }
+
+        for (net, pins) in self.nets.iter().zip(&self.net_pins) {
+            if pins.len() < 2 {
+                return Err(ValidateDesignError::UnderConnectedNet {
+                    net: net.name.clone(),
+                });
+            }
+        }
+        Ok(self)
+    }
+
+    fn check_names(&self) -> Result<(), ValidateDesignError> {
+        let mut seen = HashSet::new();
+        for c in &self.cells {
+            if !seen.insert(&c.name) {
+                return Err(ValidateDesignError::DuplicateName {
+                    what: "cell",
+                    name: c.name.clone(),
+                });
+            }
+        }
+        let mut seen = HashSet::new();
+        for n in &self.nets {
+            if !seen.insert(&n.name) {
+                return Err(ValidateDesignError::DuplicateName {
+                    what: "net",
+                    name: n.name.clone(),
+                });
+            }
+        }
+        let mut seen = HashSet::new();
+        for r in &self.regions {
+            if !seen.insert(&r.name) {
+                return Err(ValidateDesignError::DuplicateName {
+                    what: "region",
+                    name: r.name.clone(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    fn check_cells(&self) -> Result<(), ValidateDesignError> {
+        for c in &self.cells {
+            if c.width == 0 || c.height == 0 {
+                return Err(ValidateDesignError::DegenerateCell {
+                    cell: c.name.clone(),
+                });
+            }
+            if c.region.index() >= self.regions.len() {
+                return Err(ValidateDesignError::DanglingId {
+                    what: "region",
+                    index: c.region.index(),
+                });
+            }
+            if c.power_group.index() >= self.power_groups.len() {
+                return Err(ValidateDesignError::DanglingId {
+                    what: "power group",
+                    index: c.power_group.index(),
+                });
+            }
+            for p in &c.pins {
+                if p.dx >= c.width || p.dy >= c.height {
+                    return Err(ValidateDesignError::PinOutsideCell {
+                        cell: c.name.clone(),
+                        pin: p.name.clone(),
+                    });
+                }
+                if let Some(n) = p.net {
+                    if n.index() >= self.nets.len() {
+                        return Err(ValidateDesignError::DanglingId {
+                            what: "net",
+                            index: n.index(),
+                        });
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn check_regions(&self) -> Result<(), ValidateDesignError> {
+        for (ri, r) in self.regions.iter().enumerate() {
+            if !(r.utilization > 0.0 && r.utilization <= 1.0) {
+                return Err(ValidateDesignError::BadUtilization {
+                    region: r.name.clone(),
+                });
+            }
+            let rid = RegionId::from_index(ri);
+            let mut height = None;
+            for c in self.cells.iter().filter(|c| c.region == rid) {
+                match height {
+                    None => height = Some(c.height),
+                    Some(h) if h != c.height => {
+                        return Err(ValidateDesignError::MixedRegionHeights {
+                            region: r.name.clone(),
+                        })
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The connection index of every net, in cell then pin order. Every
+    /// pin's net must be in range (`check_cells`).
+    fn index_nets(&self) -> Vec<Vec<(CellId, usize)>> {
+        let mut net_pins: Vec<Vec<(CellId, usize)>> = vec![Vec::new(); self.nets.len()];
+        for (ci, c) in self.cells.iter().enumerate() {
+            for (pi, p) in c.pins.iter().enumerate() {
+                if let Some(n) = p.net {
+                    net_pins[n.index()].push((CellId::from_index(ci), pi));
+                }
+            }
+        }
+        net_pins
     }
 }
+
+/// The structural findings a design is rejected on: the encoders index by
+/// these ids and assume these shapes. `AMS-E004` and `AMS-E013` describe
+/// encodable but unsatisfiable constraints, so they stay findings of the
+/// placer's lint gate, which the UNSAT explainer can then confirm.
+const REJECTED: [DiagCode; 7] = [
+    DiagCode::SymmetryHeightMismatch,
+    DiagCode::SymmetryDanglingCell,
+    DiagCode::SymmetryCyclicShare,
+    DiagCode::ArrayDanglingCell,
+    DiagCode::ArrayRaggedCells,
+    DiagCode::ArrayBadPattern,
+    DiagCode::DanglingReference,
+];
 
 /// Hand-written JSON encoding of the [`Design`] schema (the workspace
 /// builds offline, so no serialization framework is available).
@@ -342,26 +502,6 @@ mod ser {
             ("cells", Json::Arr(d.cells.iter().map(cell).collect())),
             ("nets", Json::Arr(d.nets.iter().map(net).collect())),
             ("constraints", constraints(&d.constraints)),
-            (
-                "net_pins",
-                Json::Arr(
-                    d.net_pins
-                        .iter()
-                        .map(|pins| {
-                            Json::Arr(
-                                pins.iter()
-                                    .map(|&(c, pi)| {
-                                        Json::Arr(vec![
-                                            Json::uint(c.index() as u64),
-                                            Json::uint(pi as u64),
-                                        ])
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
         ])
     }
 
@@ -628,29 +768,6 @@ mod de {
             .collect::<Result<Vec<_>, _>>()?;
         let constraints = constraints(field(v, "constraints")?)?;
 
-        let net_pins = arr_field(v, "net_pins")?
-            .iter()
-            .map(|pins| {
-                pins.items()
-                    .ok_or_else(|| bad("net_pins entries must be arrays"))?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair
-                            .items()
-                            .filter(|p| p.len() == 2)
-                            .ok_or_else(|| bad("net_pins pairs must be [cell, pin]"))?;
-                        let c = pair[0]
-                            .as_u64()
-                            .ok_or_else(|| bad("bad cell index in net_pins"))?;
-                        let pi = pair[1]
-                            .as_u64()
-                            .ok_or_else(|| bad("bad pin index in net_pins"))?;
-                        Ok((CellId::from_index(c as usize), pi as usize))
-                    })
-                    .collect::<Result<Vec<_>, JsonError>>()
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
         Ok(Design {
             name: str_field(v, "name")?,
             pitch,
@@ -659,7 +776,7 @@ mod de {
             cells,
             nets,
             constraints,
-            net_pins,
+            net_pins: Vec::new(),
         })
     }
 
@@ -1017,57 +1134,37 @@ impl DesignBuilder {
         self.constraints.extensions.len() - 1
     }
 
-    /// Validates and finalizes the design.
+    /// Synthesizes the cluster nets, then validates and finalizes the
+    /// design.
     ///
     /// # Errors
     ///
     /// Returns a [`ValidateDesignError`] describing the first violated
     /// invariant.
     pub fn build(mut self) -> Result<Design, ValidateDesignError> {
-        if self.regions.is_empty() {
-            return Err(ValidateDesignError::Empty { what: "regions" });
-        }
-        if self.cells.is_empty() {
-            return Err(ValidateDesignError::Empty { what: "cells" });
-        }
-        if self.power_groups.is_empty() {
-            return Err(ValidateDesignError::Empty {
-                what: "power groups",
-            });
-        }
-
-        // Synthesize virtual nets for clusters before indexing.
-        for ci in 0..self.constraints.clusters.len() {
-            let cluster = self.constraints.clusters[ci].clone();
+        // One weighted virtual net per cluster; validation reports members
+        // that do not exist.
+        for cluster in &self.constraints.clusters {
+            let name = format!("__cluster_{}", cluster.name);
+            let net = NetId::from_index(self.nets.len());
             self.nets.push(Net {
-                name: format!("__cluster_{}", cluster.name),
+                name: name.clone(),
                 weight: cluster.weight,
                 virtual_net: true,
             });
-            let nid = NetId::from_index(self.nets.len() - 1);
             for &c in &cluster.cells {
-                if c.index() >= self.cells.len() {
-                    return Err(ValidateDesignError::DanglingId {
-                        what: "cell",
-                        index: c.index(),
+                if let Some(cell) = self.cells.get_mut(c.index()) {
+                    cell.pins.push(Pin {
+                        name: name.clone(),
+                        net: Some(net),
+                        dx: 0,
+                        dy: 0,
                     });
                 }
-                self.cells[c.index()].pins.push(Pin {
-                    name: format!("__cluster_{}", cluster.name),
-                    net: Some(nid),
-                    dx: 0,
-                    dy: 0,
-                });
             }
         }
 
-        self.check_names()?;
-        self.check_cells()?;
-        self.check_regions()?;
-        let net_pins = self.index_nets()?;
-        self.check_constraints()?;
-
-        Ok(Design {
+        Design {
             name: self.name,
             pitch: self.pitch,
             regions: self.regions,
@@ -1075,254 +1172,9 @@ impl DesignBuilder {
             cells: self.cells,
             nets: self.nets,
             constraints: self.constraints,
-            net_pins,
-        })
-    }
-
-    fn check_names(&self) -> Result<(), ValidateDesignError> {
-        let mut seen = HashSet::new();
-        for c in &self.cells {
-            if !seen.insert(&c.name) {
-                return Err(ValidateDesignError::DuplicateName {
-                    what: "cell",
-                    name: c.name.clone(),
-                });
-            }
+            net_pins: Vec::new(),
         }
-        let mut seen = HashSet::new();
-        for n in &self.nets {
-            if !seen.insert(&n.name) {
-                return Err(ValidateDesignError::DuplicateName {
-                    what: "net",
-                    name: n.name.clone(),
-                });
-            }
-        }
-        let mut seen = HashSet::new();
-        for r in &self.regions {
-            if !seen.insert(&r.name) {
-                return Err(ValidateDesignError::DuplicateName {
-                    what: "region",
-                    name: r.name.clone(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn check_cells(&self) -> Result<(), ValidateDesignError> {
-        for c in &self.cells {
-            if c.width == 0 || c.height == 0 {
-                return Err(ValidateDesignError::DegenerateCell {
-                    cell: c.name.clone(),
-                });
-            }
-            if c.region.index() >= self.regions.len() {
-                return Err(ValidateDesignError::DanglingId {
-                    what: "region",
-                    index: c.region.index(),
-                });
-            }
-            if c.power_group.index() >= self.power_groups.len() {
-                return Err(ValidateDesignError::DanglingId {
-                    what: "power group",
-                    index: c.power_group.index(),
-                });
-            }
-            for p in &c.pins {
-                if p.dx >= c.width || p.dy >= c.height {
-                    return Err(ValidateDesignError::PinOutsideCell {
-                        cell: c.name.clone(),
-                        pin: p.name.clone(),
-                    });
-                }
-                if let Some(n) = p.net {
-                    if n.index() >= self.nets.len() {
-                        return Err(ValidateDesignError::DanglingId {
-                            what: "net",
-                            index: n.index(),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn check_regions(&self) -> Result<(), ValidateDesignError> {
-        for (ri, r) in self.regions.iter().enumerate() {
-            if !(r.utilization > 0.0 && r.utilization <= 1.0) {
-                return Err(ValidateDesignError::BadUtilization {
-                    region: r.name.clone(),
-                });
-            }
-            let rid = RegionId::from_index(ri);
-            let mut height = None;
-            for c in self.cells.iter().filter(|c| c.region == rid) {
-                match height {
-                    None => height = Some(c.height),
-                    Some(h) if h != c.height => {
-                        return Err(ValidateDesignError::MixedRegionHeights {
-                            region: r.name.clone(),
-                        })
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn index_nets(&self) -> Result<Vec<Vec<(CellId, usize)>>, ValidateDesignError> {
-        let mut net_pins: Vec<Vec<(CellId, usize)>> = vec![Vec::new(); self.nets.len()];
-        for (ci, c) in self.cells.iter().enumerate() {
-            for (pi, p) in c.pins.iter().enumerate() {
-                if let Some(n) = p.net {
-                    net_pins[n.index()].push((CellId::from_index(ci), pi));
-                }
-            }
-        }
-        for (ni, pins) in net_pins.iter().enumerate() {
-            if pins.len() < 2 {
-                return Err(ValidateDesignError::UnderConnectedNet {
-                    net: self.nets[ni].name.clone(),
-                });
-            }
-        }
-        Ok(net_pins)
-    }
-
-    fn check_constraints(&self) -> Result<(), ValidateDesignError> {
-        let ncells = self.cells.len();
-        let check_cell = |id: CellId| -> Result<(), ValidateDesignError> {
-            if id.index() >= ncells {
-                Err(ValidateDesignError::DanglingId {
-                    what: "cell",
-                    index: id.index(),
-                })
-            } else {
-                Ok(())
-            }
-        };
-
-        for (gi, g) in self.constraints.symmetry.iter().enumerate() {
-            for p in &g.pairs {
-                check_cell(p.a)?;
-                if let Some(b) = p.b {
-                    check_cell(b)?;
-                    let (ca, cb) = (&self.cells[p.a.index()], &self.cells[b.index()]);
-                    if ca.width != cb.width || ca.height != cb.height || ca.region != cb.region {
-                        return Err(ValidateDesignError::AsymmetricPair {
-                            group: g.name.clone(),
-                        });
-                    }
-                }
-            }
-            if let Some(parent) = g.share_axis_with {
-                if parent >= gi {
-                    // Parents must precede children, which also rules out cycles.
-                    return Err(ValidateDesignError::DanglingId {
-                        what: "symmetry group",
-                        index: parent,
-                    });
-                }
-            }
-        }
-
-        for a in &self.constraints.arrays {
-            let mut dims = None;
-            for &c in &a.cells {
-                check_cell(c)?;
-                let cell = &self.cells[c.index()];
-                let d = (cell.width, cell.height, cell.region);
-                match dims {
-                    None => dims = Some(d),
-                    Some(prev) if prev != d => {
-                        return Err(ValidateDesignError::RaggedArray {
-                            array: a.name.clone(),
-                        })
-                    }
-                    _ => {}
-                }
-            }
-            let bad_groups = || ValidateDesignError::BadCentroidGroups {
-                array: a.name.clone(),
-            };
-            match &a.pattern {
-                ArrayPattern::Dense => {}
-                ArrayPattern::CommonCentroid { group_a, group_b } => {
-                    let members: HashSet<_> = a.cells.iter().collect();
-                    let in_array = group_a.iter().chain(group_b).all(|c| members.contains(c));
-                    let disjoint = group_a.iter().all(|c| !group_b.contains(c));
-                    if !in_array || !disjoint || group_a.is_empty() || group_b.is_empty() {
-                        return Err(bad_groups());
-                    }
-                }
-                ArrayPattern::Interdigitated { groups } => {
-                    // Equal-size, disjoint groups exactly partitioning the array.
-                    if groups.is_empty() || groups[0].is_empty() {
-                        return Err(bad_groups());
-                    }
-                    let size = groups[0].len();
-                    let mut seen: HashSet<CellId> = HashSet::new();
-                    for g in groups {
-                        if g.len() != size {
-                            return Err(bad_groups());
-                        }
-                        for &c in g {
-                            if !seen.insert(c) {
-                                return Err(bad_groups());
-                            }
-                        }
-                    }
-                    let members: HashSet<_> = a.cells.iter().copied().collect();
-                    if seen != members {
-                        return Err(bad_groups());
-                    }
-                }
-                ArrayPattern::CentralSymmetric { pairs } => {
-                    let mut seen: HashSet<CellId> = HashSet::new();
-                    for &(x, y) in pairs {
-                        if x == y || !seen.insert(x) || !seen.insert(y) {
-                            return Err(bad_groups());
-                        }
-                    }
-                    let members: HashSet<_> = a.cells.iter().copied().collect();
-                    if seen != members {
-                        return Err(bad_groups());
-                    }
-                }
-            }
-        }
-
-        for cl in &self.constraints.clusters {
-            for &c in &cl.cells {
-                check_cell(c)?;
-            }
-        }
-
-        for e in &self.constraints.extensions {
-            match e.target {
-                ExtensionTarget::Cell(c) => check_cell(c)?,
-                ExtensionTarget::Region(r) => {
-                    if r.index() >= self.regions.len() {
-                        return Err(ValidateDesignError::DanglingId {
-                            what: "region",
-                            index: r.index(),
-                        });
-                    }
-                }
-                ExtensionTarget::Array(i) => {
-                    if i >= self.constraints.arrays.len() {
-                        return Err(ValidateDesignError::DanglingId {
-                            what: "array",
-                            index: i,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
+        .validated()
     }
 }
 
@@ -1330,6 +1182,16 @@ impl DesignBuilder {
 mod tests {
     use super::*;
     use crate::{ClusterConstraint, SymmetryAxis, SymmetryGroup, SymmetryPair};
+
+    /// Whether `built` failed on a structural finding with `code`.
+    fn rejects_with(built: Result<Design, ValidateDesignError>, code: DiagCode) -> bool {
+        match built {
+            Err(ValidateDesignError::Constraints { findings }) => {
+                findings.iter().any(|d| d.code == code)
+            }
+            _ => false,
+        }
+    }
 
     fn two_cell_builder() -> (DesignBuilder, CellId, CellId) {
         let mut b = DesignBuilder::new("t");
@@ -1430,10 +1292,7 @@ mod tests {
             pairs: vec![SymmetryPair::mirrored(a, odd)],
             share_axis_with: None,
         });
-        assert!(matches!(
-            b.build(),
-            Err(ValidateDesignError::AsymmetricPair { .. })
-        ));
+        assert!(rejects_with(b.build(), DiagCode::SymmetryHeightMismatch));
     }
 
     #[test]
@@ -1482,12 +1341,6 @@ mod tests {
             pairs: vec![SymmetryPair::mirrored(a, c)],
             share_axis_with: Some(5),
         });
-        assert!(matches!(
-            b.build(),
-            Err(ValidateDesignError::DanglingId {
-                what: "symmetry group",
-                ..
-            })
-        ));
+        assert!(rejects_with(b.build(), DiagCode::SymmetryCyclicShare));
     }
 }

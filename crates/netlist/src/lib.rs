@@ -31,6 +31,7 @@ pub mod benchmarks;
 pub mod diag;
 pub mod json;
 pub mod rng;
+pub mod structure;
 
 pub use constraint::{
     ArrayConstraint, ArrayPattern, ClusterConstraint, ConstraintSet, ExtensionConstraint,

@@ -1,6 +1,6 @@
 //! End-to-end service tests over a loopback HTTP server: parallel job
 //! fan-in, mid-flight cancellation, deadline degradation, exact-cache
-//! determinism, and λ_th-only warm re-solves.
+//! determinism, λ_th-only warm re-solves, and malformed designs.
 //!
 //! Designs are tiny synthetics and every job runs with explicit
 //! single-thread options, so the suite is deterministic and stays in
@@ -28,7 +28,8 @@ fn small_design() -> ams_netlist::Design {
 }
 
 /// A larger instance whose full-budget solve takes long enough that a
-/// cancel reliably lands mid-flight.
+/// cancel reliably lands mid-flight, and a 1 ms deadline expires before
+/// its first model.
 fn slow_design() -> ams_netlist::Design {
     benchmarks::synthetic(SyntheticParams {
         regions: 2,
@@ -294,14 +295,14 @@ fn cancel_lands_mid_flight() {
 #[test]
 fn deadline_ladder_expires_then_degrades_to_anytime() {
     let server = start_server(1);
-    let design = small_design();
+    let design = slow_design();
     // Climb a deadline ladder. The shortest rung expires before any
     // model (a structured deadline-expired failure); some rung then
     // completes — either anytime (a model survived the deadline) or
     // optimal (the solve beat the clock).
     let mut saw_deadline_expired = false;
     let mut final_outcome = None;
-    let mut deadline_ms = 25u64;
+    let mut deadline_ms = 1u64;
     while deadline_ms <= 60_000 {
         let id = submit(
             &server,
@@ -372,6 +373,53 @@ fn malformed_and_unknown_requests_get_structured_errors() {
     let health = client::get(server.addr(), "/v1/healthz").expect("healthz");
     assert_eq!(health.status, 200);
     assert_eq!(health.body.field("ok").and_then(Json::as_bool), Some(true));
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn malformed_design_gets_a_400_and_the_worker_keeps_serving() {
+    let server = start_server(1);
+    let valid = PlaceRequest {
+        design: small_design(),
+        options: quick_options(),
+        idempotency_key: None,
+    };
+
+    // A cell in a region that does not exist: the parser rejects it before
+    // it can reach the encoders on the only worker.
+    let mut broken = valid.to_json();
+    let Json::Obj(top) = &mut broken else {
+        panic!("a request is an object")
+    };
+    let Some(Json::Obj(design)) = top.get_mut("design") else {
+        panic!("a request carries its design inline")
+    };
+    let Some(Json::Arr(cells)) = design.get_mut("cells") else {
+        panic!("a design has cells")
+    };
+    let Json::Obj(cell) = &mut cells[0] else {
+        panic!("a cell is an object")
+    };
+    cell.insert("region".into(), Json::uint(99));
+    let reply = client::post(server.addr(), "/v1/jobs", Some(&broken)).expect("post");
+    assert_eq!(reply.status, 400, "{}", reply.body.pretty());
+    let error = reply
+        .body
+        .field("error")
+        .and_then(Json::as_str)
+        .unwrap_or_default();
+    assert!(error.contains("dangling region id 99"), "{error}");
+
+    let id = submit(&server, &valid);
+    let response = wait_terminal(&server, id, Duration::from_secs(120));
+    assert_eq!(
+        response.field("status").and_then(Json::as_str),
+        Some("done"),
+        "{}",
+        response.pretty()
+    );
 
     server.shutdown();
     server.join();

@@ -16,6 +16,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> service tests in release (deadlines race a faster solver there)"
+cargo test --release -q -p ams-serve --test serve_http
+
 echo "==> benchmark harness (examples/bench, its own workspace)"
 # `cargo test --workspace` never compiles the benchmark, yet it drives the
 # placer's public entry points (lint, presolve, Placer, the service).

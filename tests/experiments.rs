@@ -1,7 +1,7 @@
 //! Shape checks for the paper's experiments: "who wins, and in which
 //! direction" assertions that must hold on every run. These use reduced
 //! optimization budgets so they are runnable inside the normal test suite;
-//! the `ams-bench` binaries regenerate the full tables.
+//! the `ams-bench` `report` binary regenerates the full tables.
 
 use finfet_ams_place::netlist::benchmarks;
 use finfet_ams_place::place::{baseline, Placer, PlacerConfig};
@@ -99,7 +99,7 @@ fn table3_and_table4_shapes_buf() {
 }
 
 #[test]
-#[ignore = "several minutes: full VCO arms; run with --ignored or use the table6 binary"]
+#[ignore = "several minutes: full VCO arms; run with --ignored or use the report binary"]
 fn table6_shape_vco() {
     let w_design = benchmarks::vco();
     let w = Placer::new(&w_design, quick_cfg())
