@@ -24,9 +24,20 @@ pub(super) fn check(config: &PlacerConfig, report: &mut LintReport) {
             );
         }
     }
+    for finding in robustness(config) {
+        report.push(finding);
+    }
+}
+
+/// The E015–E018 findings of a configuration. This is the one check of
+/// these four facts: lint reports each finding under its code, and
+/// [`PlacerConfig::validate`] rejects the configuration with the first
+/// one's message.
+pub(crate) fn robustness(config: &PlacerConfig) -> Vec<Diagnostic> {
+    let mut findings = Vec::new();
     let o = &config.optimize;
     if !(0.0..=1.0).contains(&o.freeze_fraction) {
-        report.push(
+        findings.push(
             Diagnostic::new(
                 DiagCode::FreezeFractionInvalid,
                 format!(
@@ -34,14 +45,14 @@ pub(super) fn check(config: &PlacerConfig, report: &mut LintReport) {
                     o.freeze_fraction
                 ),
             )
-            .suggest("use a fraction like 0.25, or disable freezing with freeze = false"),
+            .suggest("use a fraction like 0.25, or 0 to freeze nothing"),
         );
     }
     let start_ok = o.zeta_start > 0.0 && o.zeta_start <= 1.0;
     let step_ok = o.zeta_step >= 0.0 && o.zeta_step.is_finite();
     let min_ok = o.zeta_min > 0.0 && o.zeta_min <= 1.0;
     if !(start_ok && step_ok && min_ok) {
-        report.push(
+        findings.push(
             Diagnostic::new(
                 DiagCode::ZetaScheduleInvalid,
                 format!(
@@ -54,7 +65,7 @@ pub(super) fn check(config: &PlacerConfig, report: &mut LintReport) {
         );
     }
     if o.conflict_budget == Some(0) || o.first_conflict_budget == Some(0) {
-        report.push(
+        findings.push(
             Diagnostic::new(
                 DiagCode::ZeroBudget,
                 "a conflict budget of 0 stops every solve before its first step",
@@ -63,7 +74,7 @@ pub(super) fn check(config: &PlacerConfig, report: &mut LintReport) {
         );
     }
     if config.solver.deadline == Some(Duration::ZERO) {
-        report.push(
+        findings.push(
             Diagnostic::new(
                 DiagCode::ZeroDeadline,
                 "a zero wall-clock deadline expires before solving starts",
@@ -71,6 +82,7 @@ pub(super) fn check(config: &PlacerConfig, report: &mut LintReport) {
             .suggest("use None to disable the deadline, or a positive duration"),
         );
     }
+    findings
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! conflicting constraint-family combination.
 
 mod capacity;
-mod configcheck;
+pub(crate) mod configcheck;
 mod explain;
 pub mod presolve;
 

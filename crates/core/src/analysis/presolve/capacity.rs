@@ -126,7 +126,7 @@ fn pin_density(design: &Design, config: &PlacerConfig, scale: &ScaleInfo) -> Vec
         return proofs;
     }
     let lambda = resolve_lambda(design, scale, pd);
-    let pins = |c| design.cell(c).pin_count() as u64;
+    let pins = |c| design.pin_count(c) as u64;
     let densest = design.cell_ids().max_by_key(|&c| (pins(c), Reverse(c)));
     if let Some(c) = densest.filter(|&c| pins(c) > lambda) {
         proofs.push(PresolveConflict::capacity(

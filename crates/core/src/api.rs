@@ -12,7 +12,6 @@
 //! [`ErrorKind::exit_code`], and the server wraps everything in a
 //! [`PlaceResponse`].
 
-use crate::config::SolverOverrides;
 use crate::placement::{PlaceOutcome, Placement, PresolveStats};
 use crate::placer::PlaceError;
 use crate::PlacerConfig;
@@ -251,9 +250,8 @@ pub struct JobOptions {
     pub iters: usize,
     /// Conflict budget per optimization round (`--budget`).
     pub budget: u64,
-    /// Portfolio worker threads (`--threads`). Explicit per-job value;
-    /// on the server the process environment is *never* consulted
-    /// ([`SolverOverrides::explicit_only`]).
+    /// Portfolio worker threads (`--threads`); `None` solves on one
+    /// thread. The server never fills it from the environment.
     pub threads: Option<usize>,
     /// Wall-clock deadline in milliseconds (`--deadline-ms`).
     pub deadline_ms: Option<u64>,
@@ -296,11 +294,10 @@ impl Default for JobOptions {
 }
 
 impl JobOptions {
-    /// Assembles the [`PlacerConfig`] these options describe — the exact
-    /// construction the `amsplace` CLI performs from its flags. Thread
-    /// count and deadline are *not* folded in here; apply them through
-    /// [`JobOptions::overrides`] so the explicit > env > config
-    /// precedence stays in one place ([`crate::SolverConfig::resolve`]).
+    /// Assembles the [`PlacerConfig`] these options describe: the one
+    /// translation of `amsplace` flags or a service request into a
+    /// configuration, thread count and deadline included. It reads no
+    /// environment, so a request solves the same on every host.
     pub fn to_config(&self) -> PlacerConfig {
         let mut config = if self.quick {
             PlacerConfig::fast()
@@ -315,7 +312,6 @@ impl JobOptions {
         }
         if let Some(rungs) = self.max_relax {
             config.recovery.max_rungs = rungs;
-            config.recovery.enabled = rungs > 0;
         }
         if let Some(lambda) = self.lambda_th {
             let mut density = config.pin_density.unwrap_or_default();
@@ -329,6 +325,10 @@ impl JobOptions {
             config.presolve.enabled = false;
         }
         config.solver.certify = self.certify;
+        if let Some(threads) = self.threads {
+            config.solver.threads = threads;
+        }
+        config.solver.deadline = self.deadline_ms.map(Duration::from_millis);
         config
     }
 
@@ -342,14 +342,6 @@ impl JobOptions {
             }
             c
         })
-    }
-
-    /// The per-job execution overrides, environment-blind: a job's
-    /// thread count and deadline come from the request or the config,
-    /// never from `AMSPLACE_THREADS` / `AMSPLACE_DEADLINE_MS` in the
-    /// server process.
-    pub fn overrides(&self) -> SolverOverrides {
-        SolverOverrides::explicit_only(self.threads, self.deadline_ms.map(Duration::from_millis))
     }
 
     /// Serializes to the wire shape. Every field is present (unset
@@ -468,12 +460,8 @@ impl PlaceRequest {
             }
         }
         let design = match doc.field("design") {
-            Some(Json::Str(name)) => match name.as_str() {
-                "buf" => benchmarks::buf(),
-                "vco" => benchmarks::vco(),
-                "synthetic" => benchmarks::synthetic(Default::default()),
-                other => return Err(format!("unknown benchmark design {other:?}")),
-            },
+            Some(Json::Str(name)) => benchmarks::by_name(name)
+                .ok_or_else(|| format!("unknown benchmark design {name:?}"))?,
             Some(obj @ Json::Obj(_)) => {
                 Design::from_json_value(obj).map_err(|e| format!("design: {e}"))?
             }
@@ -893,6 +881,23 @@ mod tests {
         let closure = back.closure().expect("close requested");
         assert_eq!(closure.max_iters, 3);
         assert_eq!(JobOptions::default().closure(), None);
+    }
+
+    #[test]
+    fn to_config_carries_threads_and_deadline() {
+        let config = JobOptions {
+            threads: Some(3),
+            deadline_ms: Some(250),
+            ..JobOptions::default()
+        }
+        .to_config();
+        assert_eq!(config.solver.threads, 3);
+        assert_eq!(config.solver.deadline, Some(Duration::from_millis(250)));
+        // Unset values are the configuration's defaults, never the
+        // environment's: CI reruns this suite under AMSPLACE_THREADS=4.
+        let config = JobOptions::default().to_config();
+        assert_eq!(config.solver.threads, 1);
+        assert_eq!(config.solver.deadline, None);
     }
 
     #[test]

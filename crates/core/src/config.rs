@@ -136,9 +136,8 @@ pub struct OptimizeConfig {
     pub zeta_step: f64,
     /// Lower bound on `ζ`.
     pub zeta_min: f64,
-    /// Freeze low-priority cell/region variables via assumptions (line 9).
-    pub freeze: bool,
-    /// Fraction of cells frozen per iteration, accumulated over iterations.
+    /// Fraction of cells and regions frozen per iteration via assumptions
+    /// (line 9), accumulated over iterations; `0.0` freezes nothing.
     pub freeze_fraction: f64,
     /// Conflict budget per optimization-round SAT call; `None` is unlimited.
     pub conflict_budget: Option<u64>,
@@ -154,7 +153,6 @@ impl Default for OptimizeConfig {
             zeta_start: 0.95,
             zeta_step: 0.03,
             zeta_min: 0.70,
-            freeze: true,
             freeze_fraction: 0.25,
             conflict_budget: Some(100_000),
             first_conflict_budget: Some(3_000_000),
@@ -212,90 +210,24 @@ impl Default for SolverConfig {
     }
 }
 
-/// Caller-supplied overrides for [`SolverConfig::resolve`] — the one place
-/// the explicit > environment > config precedence for thread count and
-/// deadline is applied.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SolverOverrides {
-    /// Explicit thread count (e.g. `--threads` or
-    /// [`crate::PlacerBuilder::threads`]); beats everything.
-    pub threads: Option<usize>,
-    /// Explicit wall-clock deadline; beats everything.
-    pub deadline: Option<Duration>,
-    /// Whether the `AMSPLACE_THREADS` / `AMSPLACE_DEADLINE_MS` environment
-    /// variables may fill in values the caller left unset. Interactive
-    /// callers (the CLI, the builder default) say `true`; the job server
-    /// says `false` so per-job configuration can never be silently
-    /// overridden by process-global environment state.
-    pub consult_env: bool,
+/// The solver thread count and the deadline in milliseconds that the
+/// `AMSPLACE_THREADS` and `AMSPLACE_DEADLINE_MS` environment variables
+/// supply, each only when set to a positive integer.
+/// [`crate::PlacerBuilder::build`] and the `amsplace` CLI fill the values
+/// their caller left unset from it. The job server never reads it, so a
+/// request solves the same on every host.
+pub fn solver_env() -> (Option<usize>, Option<u64>) {
+    parse_solver_env(|key| std::env::var(key).ok())
 }
 
-impl SolverOverrides {
-    /// Overrides that consult the environment for unset values — the
-    /// historical [`crate::PlacerBuilder`] behaviour.
-    pub fn with_env(threads: Option<usize>, deadline: Option<Duration>) -> SolverOverrides {
-        SolverOverrides {
-            threads,
-            deadline,
-            consult_env: true,
-        }
-    }
-
-    /// Overrides that ignore the environment entirely: the resolved value
-    /// is exactly `explicit.or(config)`. Used per job by `amsplace serve`.
-    pub fn explicit_only(threads: Option<usize>, deadline: Option<Duration>) -> SolverOverrides {
-        SolverOverrides {
-            threads,
-            deadline,
-            consult_env: false,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// Applies the documented precedence for the execution knobs that can
-    /// come from more than one place:
-    ///
-    /// 1. an **explicit** caller value ([`SolverOverrides::threads`] /
-    ///    [`SolverOverrides::deadline`]) always wins;
-    /// 2. otherwise, when [`SolverOverrides::consult_env`] is set, a
-    ///    parseable positive `AMSPLACE_THREADS` / `AMSPLACE_DEADLINE_MS`
-    ///    environment value applies;
-    /// 3. otherwise the value already in this config stands.
-    ///
-    /// Every other field is returned unchanged. This is the *only* place
-    /// the precedence lives; [`crate::PlacerBuilder::build`] delegates
-    /// here.
-    pub fn resolve(self, overrides: SolverOverrides) -> SolverConfig {
-        self.resolve_from(overrides, |key| std::env::var(key).ok())
-    }
-
-    /// [`SolverConfig::resolve`] with an injected environment lookup, so
-    /// the precedence rules are unit-testable without mutating the
-    /// process-global environment.
-    pub fn resolve_from(
-        self,
-        overrides: SolverOverrides,
-        lookup: impl Fn(&str) -> Option<String>,
-    ) -> SolverConfig {
-        let env = |key: &str| -> Option<u64> {
-            if !overrides.consult_env {
-                return None;
-            }
-            lookup(key)?.trim().parse::<u64>().ok().filter(|&v| v > 0)
-        };
-        SolverConfig {
-            threads: overrides
-                .threads
-                .or_else(|| env("AMSPLACE_THREADS").map(|v| v as usize))
-                .unwrap_or(self.threads),
-            deadline: overrides
-                .deadline
-                .or_else(|| env("AMSPLACE_DEADLINE_MS").map(Duration::from_millis))
-                .or(self.deadline),
-            ..self
-        }
-    }
+/// [`solver_env`] over an injected lookup, so the parsing is testable
+/// without touching the process environment.
+fn parse_solver_env(lookup: impl Fn(&str) -> Option<String>) -> (Option<usize>, Option<u64>) {
+    let positive = |key: &str| lookup(key)?.trim().parse::<u64>().ok().filter(|&v| v > 0);
+    (
+        positive("AMSPLACE_THREADS").and_then(|v| usize::try_from(v).ok()),
+        positive("AMSPLACE_DEADLINE_MS"),
+    )
 }
 
 /// Static presolve behaviour (see [`crate::analysis::presolve`]): interval
@@ -328,19 +260,14 @@ impl Default for PresolveConfig {
 /// relaxations (a bounded ladder) instead of failing outright.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Whether the relaxation ladder runs at all. With `false`,
-    /// `Infeasible` is returned on the first UNSAT as before.
-    pub enabled: bool,
-    /// Maximum relaxation rungs to attempt before giving up.
+    /// Maximum relaxation rungs to attempt before giving up; `0` returns
+    /// `Infeasible` on the first UNSAT.
     pub max_rungs: usize,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> RecoveryConfig {
-        RecoveryConfig {
-            enabled: true,
-            max_rungs: 4,
-        }
+        RecoveryConfig { max_rungs: 4 }
     }
 }
 
@@ -361,12 +288,6 @@ pub struct PlacerConfig {
     pub pin_density: Option<PinDensityConfig>,
     /// Incremental wirelength optimization settings.
     pub optimize: OptimizeConfig,
-    /// Encode arrays by canonical slot assignment (members pinned to slots
-    /// of the chosen shape, with common-centroid A/B partitions computed
-    /// statically) instead of the literal Eq. 9–10 packing constraints.
-    /// Dramatically easier to solve; `false` reverts to the literal
-    /// encoding for ablation.
-    pub array_slots: bool,
     /// SAT-core execution: thread count, clause-sharing policy, deadline.
     pub solver: SolverConfig,
     /// Infeasibility-recovery (relaxation ladder) behaviour.
@@ -389,7 +310,6 @@ impl Default for PlacerConfig {
             toggles: ConstraintToggles::all(),
             pin_density: Some(PinDensityConfig::default()),
             optimize: OptimizeConfig::default(),
-            array_slots: true,
             solver: SolverConfig::default(),
             recovery: RecoveryConfig::default(),
             presolve: PresolveConfig::default(),
@@ -423,7 +343,10 @@ impl PlacerConfig {
         }
     }
 
-    /// Validates parameter ranges.
+    /// Validates parameter ranges. The ζ schedule, the freeze fraction, and
+    /// zero conflict budgets or deadlines are checked by the linter's
+    /// configuration check (AMS-E015–E018), whose first finding this
+    /// returns.
     ///
     /// # Errors
     ///
@@ -450,27 +373,11 @@ impl PlacerConfig {
                 self.extension_scale
             ));
         }
-        let o = &self.optimize;
-        if !(o.zeta_start > 0.0 && o.zeta_start <= 1.0) {
-            return Err(format!("zeta_start {} outside (0, 1]", o.zeta_start));
-        }
-        if !(o.zeta_step >= 0.0 && o.zeta_step.is_finite()) {
-            return Err(format!("zeta_step {} must be finite and >= 0", o.zeta_step));
-        }
-        if !(o.zeta_min > 0.0 && o.zeta_min <= 1.0) {
-            return Err(format!("zeta_min {} outside (0, 1]", o.zeta_min));
-        }
-        if !(0.0..=1.0).contains(&o.freeze_fraction) {
-            return Err(format!(
-                "freeze_fraction {} outside [0, 1]",
-                o.freeze_fraction
-            ));
-        }
-        if o.conflict_budget == Some(0) || o.first_conflict_budget == Some(0) {
-            return Err("a conflict budget of 0 can never solve; use None to disable".into());
-        }
-        if self.solver.deadline == Some(Duration::ZERO) {
-            return Err("a zero deadline expires before solving; use None to disable".into());
+        if let Some(finding) = crate::analysis::configcheck::robustness(self)
+            .into_iter()
+            .next()
+        {
+            return Err(finding.message);
         }
         if self.solver.threads == 0 {
             return Err("solver threads must be at least 1".into());
@@ -587,72 +494,21 @@ mod tests {
     }
 
     #[test]
-    fn resolve_explicit_beats_env_beats_config() {
-        let base = SolverConfig {
-            threads: 2,
-            deadline: Some(Duration::from_secs(9)),
-            ..SolverConfig::default()
-        };
+    fn solver_env_reads_positive_integers_only() {
         let env = |key: &str| match key {
-            "AMSPLACE_THREADS" => Some("8".to_string()),
+            "AMSPLACE_THREADS" => Some(" 8 ".to_string()),
             "AMSPLACE_DEADLINE_MS" => Some("500".to_string()),
             _ => None,
         };
-
-        // Explicit wins over both env and config.
-        let r = base.resolve_from(
-            SolverOverrides::with_env(Some(3), Some(Duration::from_millis(7))),
-            env,
-        );
-        assert_eq!(r.threads, 3);
-        assert_eq!(r.deadline, Some(Duration::from_millis(7)));
-
-        // No explicit value: env wins over config.
-        let r = base.resolve_from(SolverOverrides::with_env(None, None), env);
-        assert_eq!(r.threads, 8);
-        assert_eq!(r.deadline, Some(Duration::from_millis(500)));
-
-        // No explicit, no env: config stands.
-        let r = base.resolve_from(SolverOverrides::with_env(None, None), |_| None);
-        assert_eq!(r.threads, 2);
-        assert_eq!(r.deadline, Some(Duration::from_secs(9)));
-    }
-
-    #[test]
-    fn resolve_explicit_only_never_reads_the_env() {
-        let base = SolverConfig::default();
-        let env = |_: &str| Some("8".to_string());
-        let r = base.resolve_from(SolverOverrides::explicit_only(None, None), env);
-        assert_eq!(r.threads, base.threads);
-        assert_eq!(r.deadline, None);
-        let r = base.resolve_from(SolverOverrides::explicit_only(Some(5), None), env);
-        assert_eq!(r.threads, 5);
-    }
-
-    #[test]
-    fn resolve_ignores_unparseable_and_zero_env_values() {
-        let base = SolverConfig::default();
+        assert_eq!(parse_solver_env(env), (Some(8), Some(500)));
+        assert_eq!(parse_solver_env(|_| None), (None, None));
         for bad in ["0", "-3", "many", ""] {
-            let r = base.resolve_from(SolverOverrides::with_env(None, None), |_| {
-                Some(bad.to_string())
-            });
-            assert_eq!(r.threads, base.threads, "env value {bad:?}");
-            assert_eq!(r.deadline, None, "env value {bad:?}");
+            assert_eq!(
+                parse_solver_env(|_| Some(bad.to_string())),
+                (None, None),
+                "env value {bad:?}"
+            );
         }
-    }
-
-    #[test]
-    fn resolve_leaves_unrelated_fields_untouched() {
-        let base = SolverConfig {
-            share_lbd_max: 7,
-            seed: 42,
-            certify: true,
-            ..SolverConfig::default()
-        };
-        let r = base.resolve_from(SolverOverrides::with_env(Some(4), None), |_| None);
-        assert_eq!(r.share_lbd_max, 7);
-        assert_eq!(r.seed, 42);
-        assert!(r.certify);
     }
 
     #[test]

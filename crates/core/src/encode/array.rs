@@ -1,17 +1,18 @@
 //! Array constraints (Eq. 9) with common-centroid patterns (Eq. 10) and
 //! array-target extension margins (Eq. 11 applied to array bounding boxes).
 //!
-//! Two encodings are available:
+//! Two encodings exist:
 //!
-//! * **Slot mode** (default): the array's shape is chosen from the feasible
+//! * **Slot mode**: the array's shape is chosen from the feasible
 //!   `(cols, rows)` factorizations by a selector disjunction, and each
 //!   member is pinned to a canonical slot of that shape. Common-centroid
 //!   A/B slot partitions with equal coordinate sums are computed statically
 //!   in Rust, so Eq. 10 holds by construction. This removes the
 //!   permutation freedom that makes dense packing hard for CDCL search.
-//! * **Literal mode** (`array_slots = false`): the paper's Eq. 9–10 as
-//!   written — bounding boxes with tight edges, a density disjunction, and
-//!   coordinate-sum equalities.
+//! * **Literal mode**: the paper's Eq. 9–10 as written — bounding boxes
+//!   with tight edges, a density disjunction, and coordinate-sum
+//!   equalities. It encodes the Dense and CommonCentroid arrays that admit
+//!   no slot order under any shape.
 
 use super::region::rescale;
 use super::{lifted, off_const};
@@ -44,8 +45,7 @@ pub(crate) fn assert_arrays(
             arr.pattern,
             ArrayPattern::Interdigitated { .. } | ArrayPattern::CentralSymmetric { .. }
         );
-        let slotted = (config.array_slots || force_slots)
-            && assert_array_slots(smt, store, design, scale, vars, ai, force_slots);
+        let slotted = assert_array_slots(smt, store, design, scale, vars, ai, force_slots);
         if !slotted {
             assert_array_literal(smt, store, design, scale, vars, ai);
         }
@@ -55,20 +55,8 @@ pub(crate) fn assert_arrays(
 
 /// Whether slot mode fully determines member positions of array `ai`
 /// (letting cell non-overlap encoding skip member pairs).
-pub(crate) fn slots_cover_pairs(
-    design: &Design,
-    scale: &ScaleInfo,
-    config: &PlacerConfig,
-    ai: usize,
-) -> bool {
+pub(crate) fn slots_cover_pairs(design: &Design, scale: &ScaleInfo, ai: usize) -> bool {
     let arr = &design.constraints().arrays[ai];
-    let force_slots = matches!(
-        arr.pattern,
-        ArrayPattern::Interdigitated { .. } | ArrayPattern::CentralSymmetric { .. }
-    );
-    if !config.array_slots && !force_slots {
-        return false;
-    }
     if arr.cells.is_empty() {
         return false;
     }

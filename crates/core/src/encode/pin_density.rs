@@ -40,9 +40,8 @@ pub(crate) fn resolve_lambda(design: &Design, scale: &ScaleInfo, cfg: &PinDensit
     }
     let reference = reference_window_load(design, scale, cfg.beta_x, cfg.beta_y);
     let max_cell_pins = design
-        .cells()
-        .iter()
-        .map(|c| c.pin_count() as u64)
+        .cell_ids()
+        .map(|c| design.pin_count(c) as u64)
         .max()
         .unwrap_or(0);
     ((reference as f64 * cfg.auto_margin).ceil() as u64).max(max_cell_pins + 1)
@@ -72,7 +71,7 @@ fn reference_window_load(design: &Design, scale: &ScaleInfo, beta_x: u32, beta_y
                 y += row_h.max(1);
                 row_h = 0;
             }
-            rects.push((region_x0 + x, y, w, h, design.cell(c).pin_count() as u64));
+            rects.push((region_x0 + x, y, w, h, design.pin_count(c) as u64));
             x += w;
             row_h = row_h.max(h);
             max_x = max_x.max(region_x0 + x);
@@ -126,7 +125,7 @@ pub(crate) fn assert_pin_density(
 
     let pinful: Vec<_> = design
         .cell_ids()
-        .filter(|&c| design.cell(c).pin_count() > 0)
+        .filter(|&c| design.pin_count(c) > 0)
         .collect();
 
     let mut windows = 0usize;
@@ -135,7 +134,7 @@ pub(crate) fn assert_pin_density(
             let items: Vec<(Term, u64)> = pinful
                 .iter()
                 .filter_map(|&c| {
-                    let pins = design.cell(c).pin_count() as u64;
+                    let pins = design.pin_count(c) as u64;
                     overlap_condition(smt, scale, vars, c, (xm, ym), (beta_x, beta_y))
                         .map(|cond| (cond, pins))
                 })

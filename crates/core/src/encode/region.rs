@@ -310,7 +310,7 @@ pub(crate) fn assert_cell_non_overlap(
     let mut slotted_array_of: Vec<Option<usize>> = vec![None; design.cells().len()];
     if config.toggles.arrays {
         for (ai, arr) in design.constraints().arrays.iter().enumerate() {
-            if super::array::slots_cover_pairs(design, scale, config, ai) {
+            if super::array::slots_cover_pairs(design, scale, ai) {
                 for &c in &arr.cells {
                     slotted_array_of[c.index()] = Some(ai);
                 }

@@ -699,7 +699,7 @@ impl Placement {
                 let pins: u64 = design
                     .cell_ids()
                     .filter(|&c| self.cells[c.index()].overlaps(win))
-                    .map(|c| design.cell(c).pin_count() as u64)
+                    .map(|c| design.pin_count(c) as u64)
                     .sum();
                 if pins > pd.lambda {
                     out.push(Violation {

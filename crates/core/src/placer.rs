@@ -2,7 +2,7 @@
 //! (Algorithm 1) → post-processing.
 
 use crate::analysis::presolve::{self, Domains, PresolveConflict};
-use crate::config::{PinDensityConfig, PlacerConfig, SolverOverrides};
+use crate::config::{solver_env, PinDensityConfig, PlacerConfig};
 use crate::encode;
 use crate::ir::{conflict_families, ConstraintFamily, ConstraintStore, FamilyStats};
 use crate::placement::{
@@ -156,7 +156,6 @@ pub struct PlacerBuilder<'a> {
     threads: Option<usize>,
     deadline: Option<Duration>,
     cancel: Option<Arc<AtomicBool>>,
-    consult_env: bool,
 }
 
 impl<'a> PlacerBuilder<'a> {
@@ -207,17 +206,6 @@ impl<'a> PlacerBuilder<'a> {
         self
     }
 
-    /// Whether `AMSPLACE_THREADS` / `AMSPLACE_DEADLINE_MS` may fill in
-    /// values not set explicitly on this builder (`true` by default — the
-    /// historical CLI-friendly behaviour). Job servers pass `false` so a
-    /// per-job configuration can never be silently overridden by
-    /// process-global environment state; see [`crate::SolverConfig::resolve`]
-    /// for the full precedence contract.
-    pub fn env_overrides(mut self, consult_env: bool) -> PlacerBuilder<'a> {
-        self.consult_env = consult_env;
-        self
-    }
-
     /// Enables certified solving ([`crate::SolverConfig::certify`]): the
     /// SAT core logs a DRAT proof, infeasibility verdicts carry a
     /// checkable certificate, and satisfiable runs re-verify their model
@@ -235,16 +223,26 @@ impl<'a> PlacerBuilder<'a> {
     /// [`PlaceError::Config`] for out-of-range parameters,
     /// [`PlaceError::Lint`] when the pre-solve linter proves the instance
     /// broken (see [`crate::analysis::lint`]).
-    pub fn build(self) -> Result<Placer<'a>, PlaceError> {
-        let mut config = self.config;
-        config.solver = config.solver.resolve(SolverOverrides {
-            threads: self.threads,
-            deadline: self.deadline,
-            consult_env: self.consult_env,
-        });
+    pub fn build(self) -> Result<Placer, PlaceError> {
+        let config = self.settled_config(solver_env());
         let mut placer = Placer::new(self.design, config)?;
         placer.set_cancel_flag(self.cancel);
         Ok(placer)
+    }
+
+    /// The configuration [`PlacerBuilder::build`] encodes, given the
+    /// environment's `(threads, deadline_ms)` ([`solver_env`]): an explicit
+    /// [`PlacerBuilder::threads`] or [`PlacerBuilder::deadline`] beats the
+    /// environment, which beats the configured value.
+    fn settled_config(&self, (threads, deadline_ms): (Option<usize>, Option<u64>)) -> PlacerConfig {
+        let mut config = self.config.clone();
+        let solver = &mut config.solver;
+        solver.threads = self.threads.or(threads).unwrap_or(solver.threads);
+        solver.deadline = self
+            .deadline
+            .or(deadline_ms.map(Duration::from_millis))
+            .or(solver.deadline);
+        config
     }
 }
 
@@ -267,8 +265,10 @@ impl<'a> PlacerBuilder<'a> {
 /// # Ok(())
 /// # }
 /// ```
-pub struct Placer<'a> {
-    design: &'a Design,
+pub struct Placer {
+    /// The design this placer encodes: copied once by [`Placer::new`] and
+    /// shared by the rebuild a structural recovery rung makes.
+    design: Arc<Design>,
     config: PlacerConfig,
     scale: ScaleInfo,
     plan: PowerPlan,
@@ -368,7 +368,8 @@ fn front_half(design: &Design, config: &PlacerConfig) -> Result<FrontHalf, Place
     let report =
         crate::analysis::lint_report(design, design.constraints(), config, &scale, &proofs);
     if report.has_errors() {
-        let solvable = config.recovery.enabled || config.solver.certify || config.presolve.enabled;
+        let solvable =
+            config.recovery.max_rungs > 0 || config.solver.certify || config.presolve.enabled;
         let recoverable = solvable
             && report
                 .errors()
@@ -457,27 +458,33 @@ pub enum WarmReuse {
     Structural,
 }
 
-impl<'a> Placer<'a> {
+impl Placer {
     /// Starts a [`PlacerBuilder`] for `design` with default configuration.
-    pub fn builder(design: &'a Design) -> PlacerBuilder<'a> {
+    pub fn builder(design: &Design) -> PlacerBuilder<'_> {
         PlacerBuilder {
             design,
             config: PlacerConfig::default(),
             threads: None,
             deadline: None,
             cancel: None,
-            consult_env: true,
         }
     }
 
-    /// Builds the full SMT encoding for a design under a configuration.
+    /// Builds the full SMT encoding for a design under a configuration,
+    /// taken as given: unlike [`PlacerBuilder::build`] it reads no
+    /// environment. The placer keeps its own copy of the design.
     ///
     /// # Errors
     ///
     /// Returns [`PlaceError::Config`] for out-of-range parameters and
     /// [`PlaceError::Lint`] when the pre-solve linter proves the instance
     /// broken or unsatisfiable (see [`crate::analysis::lint`]).
-    pub fn new(design: &'a Design, config: PlacerConfig) -> Result<Placer<'a>, PlaceError> {
+    pub fn new(design: &Design, config: PlacerConfig) -> Result<Placer, PlaceError> {
+        Placer::with_design(Arc::new(design.clone()), config)
+    }
+
+    /// [`Placer::new`] over a design the caller already shares.
+    fn with_design(design: Arc<Design>, config: PlacerConfig) -> Result<Placer, PlaceError> {
         config.validate().map_err(PlaceError::Config)?;
         let FrontHalf {
             plan,
@@ -485,14 +492,14 @@ impl<'a> Placer<'a> {
             mut presolve,
             presolve_conflict,
             domains,
-        } = front_half(design, &config)?;
+        } = front_half(&design, &config)?;
 
         let mut smt = Smt::new();
         if config.solver.certify {
             // Before any assertion, so the certificate's CNF is complete.
             smt.enable_proof();
         }
-        let vars = VarMap::create(&mut smt, design, &scale, &plan, &config, domains.as_ref());
+        let vars = VarMap::create(&mut smt, &design, &scale, &plan, &config, domains.as_ref());
         if let Some(stats) = &mut presolve {
             stats.vars_saved_bits = vars.saved_bits;
         }
@@ -500,7 +507,7 @@ impl<'a> Placer<'a> {
         // Constraint formulation (Section IV.C, a–g): the encoders emit
         // typed records into the one constraint store, and a single
         // lowering pass installs them with per-family guard selectors.
-        let encoding = encode::encode_design(&mut smt, design, &scale, &plan, &vars, &config);
+        let encoding = encode::encode_design(&mut smt, &design, &scale, &plan, &vars, &config);
         let lowering = encoding.store.lower(&mut smt, 0, &ConstraintFamily::ALL);
         smt.set_portfolio(portfolio(&config));
 
@@ -605,7 +612,7 @@ impl<'a> Placer<'a> {
     /// families, retracts the current objective bounds, and adopts the
     /// configuration.
     fn reconfigure(&mut self, config: PlacerConfig) -> Result<WarmReuse, PlaceError> {
-        let front = front_half(self.design, &config)?;
+        let front = front_half(&self.design, &config)?;
         // A different variable map invalidates every clause.
         if front.scale != self.scale
             || front.plan != self.plan
@@ -616,7 +623,7 @@ impl<'a> Placer<'a> {
         }
         let encoding = encode::encode_design(
             &mut self.smt,
-            self.design,
+            &self.design,
             &self.scale,
             &self.plan,
             &self.vars,
@@ -772,11 +779,7 @@ impl<'a> Placer<'a> {
         let deadline = self.config.solver.deadline.map(|d| t0 + d);
         self.smt.set_deadline(deadline);
 
-        let max_rungs = if self.config.recovery.enabled {
-            self.config.recovery.max_rungs
-        } else {
-            0
-        };
+        let max_rungs = self.config.recovery.max_rungs;
         let mut relaxations: Vec<Relaxation> = Vec::new();
         let mut result = self.solve_rounds(t0, deadline);
         while let Err(PlaceError::Infeasible { conflict, .. }) = &result {
@@ -798,7 +801,7 @@ impl<'a> Placer<'a> {
                 let cancel = self.cancel.take();
                 let rungs = std::mem::take(&mut self.rungs);
                 let warm = self.warm_pending.take();
-                *self = Placer::new(self.design, config)?;
+                *self = Placer::with_design(Arc::clone(&self.design), config)?;
                 self.rungs = rungs;
                 self.warm_pending = warm;
                 self.set_cancel_flag(cancel);
@@ -873,7 +876,7 @@ impl<'a> Placer<'a> {
                     self.smt.set_conflict_budget(opt.conflict_budget);
                     let model = self.extract_model();
                     let phi_now = encode::wirelength::measure_weighted_hpwl(
-                        self.design,
+                        &self.design,
                         &self.vars,
                         &model.xs,
                         &model.ys,
@@ -910,11 +913,7 @@ impl<'a> Placer<'a> {
                     // Warm-start hints toward the current model.
                     self.apply_hints(&model);
                     // Line 9: freeze low-priority cells/regions.
-                    freeze = if opt.freeze {
-                        self.freeze_assumptions(&model, sat_rounds)
-                    } else {
-                        Vec::new()
-                    };
+                    freeze = self.freeze_assumptions(&model, sat_rounds);
                 }
                 SmtResult::Unsat => {
                     if best.is_none() {
@@ -995,7 +994,7 @@ impl<'a> Placer<'a> {
         // against the independent legality oracle and report the proof-log
         // footprint alongside.
         if let Some(proof) = self.smt.proof_log() {
-            let model_violations = match placement.verify(self.design) {
+            let model_violations = match placement.verify(&self.design) {
                 Ok(()) => 0,
                 Err(v) => v.len(),
             };
@@ -1038,9 +1037,9 @@ impl<'a> Placer<'a> {
             .count();
         if let Some(pd) = &self.config.pin_density {
             if blames(ConstraintFamily::PinDensity) || (unattributed && pd_raises < 2) {
-                let from = encode::pin_density::resolve_lambda(self.design, &self.scale, pd);
+                let from = encode::pin_density::resolve_lambda(&self.design, &self.scale, pd);
                 let auto = encode::pin_density::resolve_lambda(
-                    self.design,
+                    &self.design,
                     &self.scale,
                     &PinDensityConfig {
                         lambda: None,
@@ -1332,8 +1331,8 @@ impl<'a> Placer<'a> {
             })
             .collect();
         let die = Rect::new(0, 0, self.scale.scaled_w * uw, self.scale.scaled_h * uh);
-        let edge_cells = crate::post::edge_cells(self.design, &self.scale, &regions);
-        let dummy_cells = crate::post::dummy_cells(self.design, &self.scale, &regions, &cells);
+        let edge_cells = crate::post::edge_cells(&self.design, &self.scale, &regions);
+        let dummy_cells = crate::post::dummy_cells(&self.design, &self.scale, &regions, &cells);
         let _ = &self.plan;
         Placement {
             cells,
@@ -1352,6 +1351,32 @@ impl<'a> Placer<'a> {
 mod tests {
     use super::*;
     use ams_netlist::benchmarks;
+
+    #[test]
+    fn builder_explicit_beats_env_beats_config() {
+        let d = benchmarks::buf();
+        let mut config = PlacerConfig::default();
+        config.solver.threads = 2;
+        config.solver.deadline = Some(Duration::from_secs(9));
+        config.solver.seed = 42;
+        let builder = || Placer::builder(&d).config(config.clone());
+        let env = (Some(8), Some(500));
+
+        let explicit = builder()
+            .threads(3)
+            .deadline(Duration::from_millis(7))
+            .settled_config(env);
+        assert_eq!(explicit.solver.threads, 3);
+        assert_eq!(explicit.solver.deadline, Some(Duration::from_millis(7)));
+
+        let from_env = builder().settled_config(env);
+        assert_eq!(from_env.solver.threads, 8);
+        assert_eq!(from_env.solver.deadline, Some(Duration::from_millis(500)));
+
+        let configured = builder().settled_config((None, None));
+        assert_eq!(configured, config);
+        assert_eq!(from_env.solver.seed, 42);
+    }
 
     /// White-box check of the per-job conflict accounting: the live SAT
     /// core's conflict counter runs monotonically across jobs, so after a

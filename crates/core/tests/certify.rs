@@ -24,7 +24,7 @@ fn impossible_density_config() -> PlacerConfig {
         lambda: Some(0),
         ..PinDensityConfig::default()
     });
-    cfg.recovery.enabled = false;
+    cfg.recovery.max_rungs = 0;
     cfg.optimize.k_iter = 1;
     cfg
 }
@@ -98,12 +98,7 @@ fn certify_off_leaves_no_trace() {
         .expect("places");
     assert!(placement.stats.certify.is_none());
     let infeasible = Placer::builder(&design)
-        .config({
-            let mut c = impossible_density_config();
-            c.recovery.enabled = true;
-            c.recovery.max_rungs = 0;
-            c
-        })
+        .config(impossible_density_config())
         .build();
     // Without certify, the lint rejects λ_th = 0 before solving (or the
     // disabled ladder fails) — either way, no certificate appears.

@@ -143,7 +143,7 @@ fn run_rounds(target: usize, base_seed: u64) -> FuzzStats {
 
         let mut cfg = PlacerConfig::fast();
         cfg.pin_density = None;
-        cfg.recovery.enabled = false;
+        cfg.recovery.max_rungs = 0;
         cfg.optimize.k_iter = 1;
         cfg.optimize.conflict_budget = Some(50_000);
         if round.is_multiple_of(3) {

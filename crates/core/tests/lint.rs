@@ -577,7 +577,7 @@ fn e011_needs_windows_that_cover_the_die() {
         }),
         ..PlacerConfig::fast()
     };
-    cfg.recovery.enabled = false;
+    cfg.recovery.max_rungs = 0;
     cfg.presolve.enabled = false;
     let report = lint(&design, &cfg);
     let codes: Vec<DiagCode> = report.diagnostics.iter().map(|d| d.code).collect();
@@ -646,7 +646,7 @@ type GroupEdit = fn(&mut [Json]);
 /// with `edit` applied to the symmetry groups in between. The parser runs
 /// the builder's validation, so a request cannot carry constraints the
 /// builder would refuse past it.
-fn edited_design(edit: GroupEdit) -> Result<Design, ams_netlist::json::JsonError> {
+fn edited_design(edit: GroupEdit) -> Result<Design, ams_netlist::ParseDesignError> {
     let mut b = DesignBuilder::new("from_json");
     let r = b.add_region("core", 0.7);
     let pg = b.add_power_group("VDD");
@@ -708,6 +708,6 @@ fn broken_symmetry_from_json_is_a_lint_error_not_a_hang() {
     ];
     for (what, code, edit) in cases {
         let err = edited_design(edit).expect_err(what);
-        assert!(err.message.contains(code.code()), "{what}: {err}");
+        assert!(err.to_string().contains(code.code()), "{what}: {err}");
     }
 }

@@ -44,15 +44,18 @@ fn random_config(rng: &mut u64) -> PlacerConfig {
         ..PlacerConfig::default()
     };
     cfg.optimize.k_iter = (splitmix64(rng) % 3) as usize;
-    cfg.optimize.freeze = splitmix64(rng).is_multiple_of(2);
-    cfg.optimize.freeze_fraction = 0.1 + 0.4 * (splitmix64(rng) % 101) as f64 / 100.0;
+    // Half the seeds freeze nothing and half take no recovery rung.
+    let freeze = splitmix64(rng).is_multiple_of(2);
+    let freeze_fraction = 0.1 + 0.4 * (splitmix64(rng) % 101) as f64 / 100.0;
+    cfg.optimize.freeze_fraction = if freeze { freeze_fraction } else { 0.0 };
     cfg.optimize.conflict_budget = Some(200 + splitmix64(rng) % 2_000);
     cfg.optimize.first_conflict_budget = Some(1_000 + splitmix64(rng) % 20_000);
     cfg.solver.threads = 1 + (splitmix64(rng) % 3) as usize;
     // Wall-clock backstop: even a pathological instance ends promptly.
     cfg.solver.deadline = Some(Duration::from_millis(400));
-    cfg.recovery.enabled = splitmix64(rng).is_multiple_of(2);
-    cfg.recovery.max_rungs = (splitmix64(rng) % 3) as usize;
+    let recover = splitmix64(rng).is_multiple_of(2);
+    let max_rungs = (splitmix64(rng) % 3) as usize;
+    cfg.recovery.max_rungs = if recover { max_rungs } else { 0 };
     cfg.pin_density = match splitmix64(rng) % 4 {
         0 => None,
         1 => Some(PinDensityConfig {

@@ -227,3 +227,50 @@ fn pin_density_checks_the_last_window_of_an_off_stride_die() {
         "only the crowded window may fail: {violations:?}"
     );
 }
+
+#[test]
+fn cluster_pins_are_not_charged_to_pin_density() {
+    use ams_netlist::{ClusterConstraint, DesignBuilder};
+    use ams_place::PinDensityConfig;
+
+    // Two one-pin cells in one cluster. The builder gives each a pin on
+    // the cluster's virtual net; that pin is bookkeeping, not a terminal,
+    // so one die-wide window under λ_th = 2 admits both cells.
+    let mut b = DesignBuilder::new("clustered");
+    let r = b.add_region("r", 0.5);
+    let g = b.add_power_group("vdd");
+    let n = b.add_net("n", 1);
+    let cells: Vec<_> = (0..2)
+        .map(|i| {
+            let c = b.add_cell(format!("c{i}"), r, 2, 2, g);
+            b.add_pin(c, "p", Some(n), 0, 0);
+            c
+        })
+        .collect();
+    b.add_cluster(ClusterConstraint {
+        name: "k".into(),
+        cells: cells.clone(),
+        weight: 4,
+    });
+    let design = b.build().expect("valid");
+    assert!(design.cells().iter().all(|c| c.pins.len() == 2));
+    assert!(cells.iter().all(|&c| design.pin_count(c) == 1));
+
+    let mut cfg = PlacerConfig::fast();
+    cfg.recovery.max_rungs = 0;
+    cfg.pin_density = Some(PinDensityConfig {
+        beta_x: 1000,
+        beta_y: 1000,
+        stride_x: 1,
+        stride_y: 1,
+        lambda: Some(2),
+        ..PinDensityConfig::default()
+    });
+    let placement = Placer::new(&design, cfg)
+        .expect("encode")
+        .place()
+        .expect("the real pins meet λ_th");
+    placement.verify(&design).expect("legal placement");
+    let pd = placement.pin_density.expect("pin density enforced");
+    assert_eq!(pd.lambda, 2);
+}

@@ -47,29 +47,6 @@ fn interdigitated_array_places_and_verifies() {
 }
 
 #[test]
-fn interdigitated_pattern_holds_even_with_slot_mode_disabled() {
-    // Interdigitation has no literal encoding; the engine must force slot
-    // mode regardless of the config toggle.
-    let d = array_design(
-        |cells| ArrayPattern::Interdigitated {
-            groups: vec![
-                cells.iter().step_by(2).copied().collect(),
-                cells.iter().skip(1).step_by(2).copied().collect(),
-            ],
-        },
-        8,
-    );
-    let mut cfg = PlacerConfig::fast();
-    cfg.array_slots = false;
-    let p = Placer::new(&d, cfg)
-        .expect("encode")
-        .place()
-        .expect("place");
-    p.verify(&d)
-        .expect("interdigitation forced through slot mode");
-}
-
-#[test]
 fn central_symmetric_array_places_and_verifies() {
     let d = array_design(
         |cells| ArrayPattern::CentralSymmetric {

@@ -27,7 +27,7 @@ fn presolve_rejects_zero_lambda_without_a_cdcl_run() {
     // and *no* DRAT certificate, because no solver ever ran.
     let d = benchmarks::buf();
     let mut cfg = zero_lambda_config();
-    cfg.recovery.enabled = false;
+    cfg.recovery.max_rungs = 0;
     let err = Placer::builder(&d)
         .config(cfg)
         .build()

@@ -40,7 +40,7 @@ fn long_schedule() -> PlacerConfig {
     cfg.optimize.k_iter = 50;
     cfg.optimize.zeta_start = 0.98;
     cfg.optimize.zeta_step = 0.0;
-    cfg.optimize.freeze = false;
+    cfg.optimize.freeze_fraction = 0.0;
     cfg.optimize.conflict_budget = None;
     cfg.optimize.first_conflict_budget = None;
     cfg
@@ -158,7 +158,7 @@ fn zero_lambda_design_is_recovered_by_the_ladder() {
     );
 
     // With recovery disabled the same design is rejected by the linter.
-    cfg.recovery.enabled = false;
+    cfg.recovery.max_rungs = 0;
     match Placer::builder(&d).config(cfg).build() {
         Err(PlaceError::Lint(report)) => assert!(report.has_errors()),
         other => panic!("expected a lint rejection, got {:?}", other.map(|_| ())),

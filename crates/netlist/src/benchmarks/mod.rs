@@ -20,3 +20,16 @@ mod vco;
 pub use buf::buf;
 pub use synthetic::{synthetic, SyntheticParams};
 pub use vco::vco;
+
+use crate::Design;
+
+/// The benchmark a name stands for: `buf`, `vco`, or `synthetic` (the
+/// default [`SyntheticParams`]); `None` for any other name.
+pub fn by_name(name: &str) -> Option<Design> {
+    match name {
+        "buf" => Some(buf()),
+        "vco" => Some(vco()),
+        "synthetic" => Some(synthetic(SyntheticParams::default())),
+        _ => None,
+    }
+}

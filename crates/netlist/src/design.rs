@@ -110,6 +110,31 @@ impl fmt::Display for ValidateDesignError {
 
 impl Error for ValidateDesignError {}
 
+/// Why a JSON document did not yield a [`Design`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum ParseDesignError {
+    /// The text is not well-formed JSON; the error carries the byte offset.
+    Syntax(JsonError),
+    /// Well-formed JSON that does not follow the [`Design::to_json`]
+    /// schema: a field is missing or has the wrong type.
+    Schema(String),
+    /// The document decodes, but the design fails the validation
+    /// [`DesignBuilder::build`] runs.
+    Invalid(ValidateDesignError),
+}
+
+impl fmt::Display for ParseDesignError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseDesignError::Syntax(e) => write!(f, "{e}"),
+            ParseDesignError::Schema(msg) => write!(f, "design schema: {msg}"),
+            ParseDesignError::Invalid(e) => write!(f, "invalid design: {e}"),
+        }
+    }
+}
+
+impl Error for ParseDesignError {}
+
 /// A validated, immutable region-based AMS circuit.
 ///
 /// Construct with [`DesignBuilder`] or parse with [`Design::from_json`].
@@ -243,12 +268,24 @@ impl Design {
         out
     }
 
+    /// Number of pins of a cell, the `|P(v)|` of the paper. A pin on a
+    /// virtual cluster net is bookkeeping for the cluster constraint, not
+    /// a terminal, so it does not count; an unconnected pin does. Every
+    /// pin-density check and the Eq. 15 priority count pins here.
+    pub fn pin_count(&self, c: CellId) -> usize {
+        self.cells[c.index()]
+            .pins
+            .iter()
+            .filter(|pin| pin.net.is_none_or(|n| !self.nets[n.index()].virtual_net))
+            .count()
+    }
+
     /// The cell-priority metric of Eq. 15:
     /// `PR_v = δ1·|P(v)| + δ2·Σ_{n ∈ N(v)} deg(n)` with δ1 = 10, δ2 = 1.
     pub fn cell_priority(&self, c: CellId) -> u64 {
         const DELTA1: u64 = 10;
         const DELTA2: u64 = 1;
-        let pins = self.cells[c.index()].pin_count() as u64;
+        let pins = self.pin_count(c) as u64;
         let deg_sum: u64 = self
             .nets_of_cell(c)
             .iter()
@@ -281,11 +318,12 @@ impl Design {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on malformed input, schema mismatches, or a
-    /// design [`DesignBuilder::build`] would reject; the message then
-    /// carries the [`ValidateDesignError`] and any lint codes.
-    pub fn from_json(s: &str) -> Result<Design, JsonError> {
-        Design::from_json_value(&Json::parse(s)?)
+    /// [`ParseDesignError::Syntax`] on malformed JSON,
+    /// [`ParseDesignError::Schema`] on a missing or mistyped field, and
+    /// [`ParseDesignError::Invalid`] for a design [`DesignBuilder::build`]
+    /// would reject; its message then carries any lint codes.
+    pub fn from_json(s: &str) -> Result<Design, ParseDesignError> {
+        Design::from_json_value(&Json::parse(s).map_err(ParseDesignError::Syntax)?)
     }
 
     /// The [`Json`] document [`Design::to_json`] prints, for embedding a
@@ -301,11 +339,10 @@ impl Design {
     /// # Errors
     ///
     /// As [`Design::from_json`], minus the syntax errors.
-    pub fn from_json_value(v: &Json) -> Result<Design, JsonError> {
-        de::design(v)?.validated().map_err(|e| JsonError {
-            offset: 0,
-            message: format!("invalid design: {e}"),
-        })
+    pub fn from_json_value(v: &Json) -> Result<Design, ParseDesignError> {
+        de::design(v)?
+            .validated()
+            .map_err(ParseDesignError::Invalid)
     }
 
     /// Checks every invariant the placement engine relies on and derives
@@ -683,52 +720,49 @@ mod de {
         SymmetryGroup, SymmetryPair,
     };
 
-    fn bad(message: impl Into<String>) -> JsonError {
-        JsonError {
-            offset: 0,
-            message: message.into(),
-        }
+    fn bad(message: impl Into<String>) -> ParseDesignError {
+        ParseDesignError::Schema(message.into())
     }
 
-    fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
+    fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ParseDesignError> {
         v.field(key)
             .ok_or_else(|| bad(format!("missing field {key:?}")))
     }
 
-    fn str_field(v: &Json, key: &str) -> Result<String, JsonError> {
+    fn str_field(v: &Json, key: &str) -> Result<String, ParseDesignError> {
         field(v, key)?
             .as_str()
             .map(str::to_string)
             .ok_or_else(|| bad(format!("field {key:?} must be a string")))
     }
 
-    fn u32_field(v: &Json, key: &str) -> Result<u32, JsonError> {
+    fn u32_field(v: &Json, key: &str) -> Result<u32, ParseDesignError> {
         field(v, key)?
             .as_u64()
             .and_then(|n| u32::try_from(n).ok())
             .ok_or_else(|| bad(format!("field {key:?} must be a u32")))
     }
 
-    fn usize_field(v: &Json, key: &str) -> Result<usize, JsonError> {
+    fn usize_field(v: &Json, key: &str) -> Result<usize, ParseDesignError> {
         field(v, key)?
             .as_u64()
             .map(|n| n as usize)
             .ok_or_else(|| bad(format!("field {key:?} must be an index")))
     }
 
-    fn f64_field(v: &Json, key: &str) -> Result<f64, JsonError> {
+    fn f64_field(v: &Json, key: &str) -> Result<f64, ParseDesignError> {
         field(v, key)?
             .as_f64()
             .ok_or_else(|| bad(format!("field {key:?} must be a number")))
     }
 
-    fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], JsonError> {
+    fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], ParseDesignError> {
         field(v, key)?
             .items()
             .ok_or_else(|| bad(format!("field {key:?} must be an array")))
     }
 
-    fn cell_id_list(v: &Json, key: &str) -> Result<Vec<CellId>, JsonError> {
+    fn cell_id_list(v: &Json, key: &str) -> Result<Vec<CellId>, ParseDesignError> {
         arr_field(v, key)?
             .iter()
             .map(|item| {
@@ -739,7 +773,7 @@ mod de {
             .collect()
     }
 
-    pub(super) fn design(v: &Json) -> Result<Design, JsonError> {
+    pub(super) fn design(v: &Json) -> Result<Design, ParseDesignError> {
         let pitch_v = field(v, "pitch")?;
         let pitch = Pitch {
             x_nm: f64_field(pitch_v, "x_nm")?,
@@ -757,7 +791,7 @@ mod de {
                     name: str_field(p, "name")?,
                 })
             })
-            .collect::<Result<Vec<_>, JsonError>>()?;
+            .collect::<Result<Vec<_>, ParseDesignError>>()?;
         let cells = arr_field(v, "cells")?
             .iter()
             .map(cell)
@@ -780,7 +814,7 @@ mod de {
         })
     }
 
-    fn region(v: &Json) -> Result<Region, JsonError> {
+    fn region(v: &Json) -> Result<Region, ParseDesignError> {
         Ok(Region {
             name: str_field(v, "name")?,
             utilization: f64_field(v, "utilization")?,
@@ -789,7 +823,7 @@ mod de {
         })
     }
 
-    fn cell(v: &Json) -> Result<Cell, JsonError> {
+    fn cell(v: &Json) -> Result<Cell, ParseDesignError> {
         let kind = match str_field(v, "kind")?.as_str() {
             "primitive" => CellKind::Primitive,
             "edge" => CellKind::Edge,
@@ -811,7 +845,7 @@ mod de {
         })
     }
 
-    fn pin(v: &Json) -> Result<Pin, JsonError> {
+    fn pin(v: &Json) -> Result<Pin, ParseDesignError> {
         let net_v = field(v, "net")?;
         let net = if net_v.is_null() {
             None
@@ -831,7 +865,7 @@ mod de {
         })
     }
 
-    fn net(v: &Json) -> Result<Net, JsonError> {
+    fn net(v: &Json) -> Result<Net, ParseDesignError> {
         Ok(Net {
             name: str_field(v, "name")?,
             weight: u32_field(v, "weight")?,
@@ -841,7 +875,7 @@ mod de {
         })
     }
 
-    fn constraints(v: &Json) -> Result<ConstraintSet, JsonError> {
+    fn constraints(v: &Json) -> Result<ConstraintSet, ParseDesignError> {
         Ok(ConstraintSet {
             symmetry: arr_field(v, "symmetry")?
                 .iter()
@@ -862,7 +896,7 @@ mod de {
         })
     }
 
-    fn symmetry(v: &Json) -> Result<SymmetryGroup, JsonError> {
+    fn symmetry(v: &Json) -> Result<SymmetryGroup, ParseDesignError> {
         let axis = match str_field(v, "axis")?.as_str() {
             "vertical" => SymmetryAxis::Vertical,
             "horizontal" => SymmetryAxis::Horizontal,
@@ -884,7 +918,7 @@ mod de {
                 };
                 Ok(SymmetryPair { a, b })
             })
-            .collect::<Result<Vec<_>, JsonError>>()?;
+            .collect::<Result<Vec<_>, ParseDesignError>>()?;
         let share_v = field(v, "share_axis_with")?;
         let share_axis_with = if share_v.is_null() {
             None
@@ -904,7 +938,7 @@ mod de {
         })
     }
 
-    fn array(v: &Json) -> Result<ArrayConstraint, JsonError> {
+    fn array(v: &Json) -> Result<ArrayConstraint, ParseDesignError> {
         let pattern_v = field(v, "pattern")?;
         let pattern = match str_field(pattern_v, "kind")?.as_str() {
             "dense" => ArrayPattern::Dense,
@@ -943,7 +977,7 @@ mod de {
                             CellId::from_index(y as usize),
                         ))
                     })
-                    .collect::<Result<Vec<_>, JsonError>>()?,
+                    .collect::<Result<Vec<_>, ParseDesignError>>()?,
             },
             other => return Err(bad(format!("unknown array pattern {other:?}"))),
         };
@@ -954,7 +988,7 @@ mod de {
         })
     }
 
-    fn cluster(v: &Json) -> Result<ClusterConstraint, JsonError> {
+    fn cluster(v: &Json) -> Result<ClusterConstraint, ParseDesignError> {
         Ok(ClusterConstraint {
             name: str_field(v, "name")?,
             cells: cell_id_list(v, "cells")?,
@@ -962,7 +996,7 @@ mod de {
         })
     }
 
-    fn extension(v: &Json) -> Result<ExtensionConstraint, JsonError> {
+    fn extension(v: &Json) -> Result<ExtensionConstraint, ParseDesignError> {
         let target_v = field(v, "target")?;
         let id = usize_field(target_v, "id")?;
         let target = match str_field(target_v, "kind")?.as_str() {

@@ -52,11 +52,6 @@ impl Cell {
     pub fn area(&self) -> u64 {
         u64::from(self.width) * u64::from(self.height)
     }
-
-    /// Number of signal pins, the `|P(v)|` of the paper.
-    pub fn pin_count(&self) -> usize {
-        self.pins.len()
-    }
 }
 
 /// A signal net.
@@ -123,7 +118,6 @@ mod tests {
             ],
         };
         assert_eq!(cell.area(), 8);
-        assert_eq!(cell.pin_count(), 2);
         assert_eq!(cell.kind, CellKind::Primitive);
     }
 }

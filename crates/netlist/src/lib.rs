@@ -37,7 +37,7 @@ pub use constraint::{
     ArrayConstraint, ArrayPattern, ClusterConstraint, ConstraintSet, ExtensionConstraint,
     ExtensionTarget, SymmetryAxis, SymmetryGroup, SymmetryGroupIdx, SymmetryPair,
 };
-pub use design::{Design, DesignBuilder, ValidateDesignError};
+pub use design::{Design, DesignBuilder, ParseDesignError, ValidateDesignError};
 pub use diag::{DiagCode, Diagnostic, LintReport, Severity};
 pub use elements::{Cell, CellKind, Net, Pin, PowerGroup, Region};
 pub use geom::{Pitch, Point, Rect};

@@ -3,15 +3,17 @@
 //! encoder, and every valid design parses back to itself.
 
 use ams_netlist::benchmarks::{self, SyntheticParams};
-use ams_netlist::json::{Json, JsonError};
-use ams_netlist::{ArrayConstraint, ArrayPattern, CellId, Design, DesignBuilder, DiagCode};
+use ams_netlist::json::Json;
+use ams_netlist::{
+    ArrayConstraint, ArrayPattern, CellId, Design, DesignBuilder, DiagCode, ParseDesignError,
+};
 use std::collections::BTreeMap;
 
 type Fields = BTreeMap<String, Json>;
 
 /// The default synthetic design's JSON with `edit` applied to its top-level
 /// object, parsed back.
-fn edited(edit: impl FnOnce(&mut Fields)) -> Result<Design, JsonError> {
+fn edited(edit: impl FnOnce(&mut Fields)) -> Result<Design, ParseDesignError> {
     let design = benchmarks::synthetic(SyntheticParams::default());
     let mut json = design.to_json_value();
     let Json::Obj(top) = &mut json else {
@@ -45,9 +47,9 @@ fn first_pin(top: &mut Fields) -> &mut Fields {
     obj(&mut arr(first_cell(top), "pins")[0], "a pin")
 }
 
-fn rejected(result: Result<Design, JsonError>, needle: &str) {
+fn rejected(result: Result<Design, ParseDesignError>, needle: &str) {
     match result {
-        Err(e) => assert!(e.message.contains(needle), "{e}"),
+        Err(e) => assert!(e.to_string().contains(needle), "{e}"),
         Ok(_) => panic!("expected a rejection naming {needle:?}"),
     }
 }
@@ -169,5 +171,42 @@ fn valid_designs_parse_back_to_themselves() {
     ] {
         let back = Design::from_json(&design.to_json()).expect("own output parses");
         assert_eq!(back, design, "{}", design.name());
+    }
+}
+
+#[test]
+fn load_errors_say_which_stage_failed() {
+    // Well-formed JSON naming a region that does not exist: a validation
+    // failure, with no byte offset to report.
+    let invalid = edited(|top| {
+        first_cell(top).insert("region".into(), Json::uint(99));
+    })
+    .expect_err("dangling region");
+    assert!(
+        matches!(invalid, ParseDesignError::Invalid(_)),
+        "{invalid:?}"
+    );
+    assert_eq!(invalid.to_string(), "invalid design: dangling region id 99");
+
+    // Well-formed JSON with a field of the wrong type: a schema failure.
+    let schema = edited(|top| {
+        top.insert("name".into(), Json::uint(7));
+    })
+    .expect_err("numeric name");
+    assert!(matches!(schema, ParseDesignError::Schema(_)), "{schema:?}");
+    assert!(
+        schema.to_string().starts_with("design schema: "),
+        "{schema}"
+    );
+
+    // A truncated document is a syntax error at the byte where it breaks off.
+    let text = benchmarks::synthetic(SyntheticParams::default()).to_json();
+    let cut = text.len() / 2;
+    match Design::from_json(&text[..cut]) {
+        Err(ParseDesignError::Syntax(e)) => {
+            assert!(e.offset > 0 && e.offset <= cut, "offset {}", e.offset);
+            assert!(e.to_string().contains(&format!("byte {}", e.offset)), "{e}");
+        }
+        other => panic!("expected a syntax error, got {other:?}"),
     }
 }

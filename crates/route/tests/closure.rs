@@ -135,7 +135,7 @@ fn closure_agrees_with_the_exhaustive_reference_on_mini_designs() {
         };
         let design = synthetic(params);
         let mut cfg = quick_config();
-        cfg.recovery.enabled = false;
+        cfg.recovery.max_rungs = 0;
 
         let closed = close_placement(
             &design,

@@ -56,39 +56,6 @@ use ams_place::{PlaceError, Placer, WarmReuse};
 use crate::fault::{Barrier, FaultPlan};
 use crate::journal::{Journal, Record, ReplayJob, ReplayState};
 
-/// A live reusable solver pinned to one design.
-///
-/// [`Placer`] borrows its design, but pool entries must own theirs — so
-/// the design lives in a stable heap allocation (`Box`) and the placer
-/// borrows it through a pointer the compiler treats as `'static`. The
-/// arrangement is sound because the box is never mutated or dropped
-/// while the placer lives: field order puts `placer` first, so it drops
-/// before `design`, and no method hands out the box.
-struct WarmSolver {
-    placer: Option<Placer<'static>>,
-    #[allow(dead_code)] // owned for the placer's sake, never read
-    design: Box<Design>,
-}
-
-impl WarmSolver {
-    fn new(design: Design, config: ams_place::PlacerConfig) -> Result<WarmSolver, PlaceError> {
-        let design = Box::new(design);
-        // SAFETY: the reference points into a Box whose allocation
-        // outlives the placer (drop order: `placer` field first) and is
-        // never moved out of or mutated while the placer holds it.
-        let pinned: &'static Design = unsafe { &*std::ptr::addr_of!(*design) };
-        let placer = Placer::new(pinned, config)?;
-        Ok(WarmSolver {
-            placer: Some(placer),
-            design,
-        })
-    }
-
-    fn placer(&mut self) -> &mut Placer<'static> {
-        self.placer.as_mut().expect("placer present until drop")
-    }
-}
-
 /// One submitted job as the registry tracks it.
 struct JobRecord {
     design: String,
@@ -213,7 +180,7 @@ pub struct Engine {
     state: Mutex<State>,
     work: Condvar,
     exact: Mutex<HashMap<(u64, u64), PlaceResponse>>,
-    warm: Mutex<HashMap<u64, WarmSolver>>,
+    warm: Mutex<HashMap<u64, Placer>>,
     /// The WAL; `None` runs the engine exactly as the journal-free PR 7
     /// service. Only ever locked while `state` is held (lock order:
     /// state → journal), which also makes WAL order match id order.
@@ -691,10 +658,6 @@ impl Engine {
 
         let mut config = request.options.to_config();
         config.solver.reusable = true;
-        // Per-job knobs are explicit-only: the server's environment must
-        // not leak into jobs, or identical requests would stop being
-        // reproducible across deployments.
-        config.solver = config.solver.resolve(request.options.overrides());
 
         // Routing-closure jobs run the place → route → tighten loop on a
         // private solver: the loop rebases per-window λ overrides into its
@@ -727,9 +690,9 @@ impl Engine {
             Err(e) => return PlaceResponse::failure(design.name(), &e),
         };
 
-        solver.placer().set_cancel_flag(Some(cancel.clone()));
-        let result = solver.placer().place_mut();
-        solver.placer().set_cancel_flag(None);
+        solver.set_cancel_flag(Some(cancel.clone()));
+        let result = solver.place_mut();
+        solver.set_cancel_flag(None);
 
         let response = match &result {
             Ok(placement) => PlaceResponse::success(&design, placement),
@@ -763,10 +726,10 @@ impl Engine {
         dh: u64,
         design: &Design,
         config: ams_place::PlacerConfig,
-    ) -> Result<WarmSolver, PlaceError> {
+    ) -> Result<Placer, PlaceError> {
         let pooled = self.warm.lock().expect("warm lock").remove(&dh);
         if let Some(mut solver) = pooled {
-            match solver.placer().rebase(config.clone()) {
+            match solver.rebase(config.clone()) {
                 Ok(WarmReuse::Identical) => {
                     self.counters.warm_identical.fetch_add(1, Ordering::Relaxed);
                     return Ok(solver);
@@ -780,7 +743,7 @@ impl Engine {
             }
         }
         self.counters.cold_builds.fetch_add(1, Ordering::Relaxed);
-        WarmSolver::new(design.clone(), config)
+        Placer::new(design, config)
     }
 }
 
@@ -1005,30 +968,5 @@ mod tests {
             Some("cancelled")
         );
         assert_eq!(engine.cancel(9999), None);
-    }
-
-    #[test]
-    fn warm_solver_survives_moves() {
-        // The self-referential pair must stay valid when the struct is
-        // moved (hash-map insert, Vec growth, return by value).
-        let design = ams_netlist::benchmarks::synthetic(ams_netlist::benchmarks::SyntheticParams {
-            regions: 2,
-            cells_per_region: 5,
-            nets: 8,
-            net_degree: 3,
-            symmetry_pairs: 1,
-            ..Default::default()
-        });
-        let mut config = ams_place::PlacerConfig::fast();
-        config.solver.reusable = true;
-        config.optimize.k_iter = 1;
-        config.optimize.conflict_budget = Some(10_000);
-        config.optimize.first_conflict_budget = Some(100_000);
-        let solver = WarmSolver::new(design.clone(), config).expect("encode");
-        let mut map = HashMap::new();
-        map.insert(7u64, solver);
-        let mut moved = map.remove(&7).unwrap();
-        let placement = moved.placer().place_mut().expect("solve");
-        placement.verify(&design).expect("legal placement");
     }
 }

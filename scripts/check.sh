@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The repository's single CI gate: formatting, lints, and tests.
-# Run locally before pushing; .github/workflows/ci.yml runs the same steps.
+# The repository's single CI gate: formatting, lints, tests and smokes.
+# Run locally before pushing. .github/workflows/ci.yml runs this script,
+# then the two release-only acceptance suites (differential, closure).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -18,7 +18,7 @@ use finfet_ams_place::place::analysis::{self, UnsatOutcome};
 use finfet_ams_place::place::api::{self, ErrorKind, JobOptions, PlaceRequest, PlaceResponse};
 use finfet_ams_place::place::closure::probe_windows;
 use finfet_ams_place::place::{
-    drat, render_svg, scenario, PlaceError, PlaceOutcome, Placer, PlacerConfig,
+    drat, render_svg, scenario, solver_env, PlaceError, PlaceOutcome, Placer, PlacerConfig,
 };
 use finfet_ams_place::route::{close_placement, route, window_congestion, RouterConfig};
 use finfet_ams_place::serve::{client, ResumePolicy, ServeConfig, Server};
@@ -352,6 +352,17 @@ fn parse_args() -> Result<Args, String> {
     if args.lint_presolve && args.command != Command::Lint {
         return Err("--presolve only applies to the lint subcommand".into());
     }
+    // The subcommands that solve here take an unset --threads or
+    // --deadline-ms from the environment; submit sends only the flags it
+    // was given, and the server reads no environment.
+    if matches!(
+        args.command,
+        Command::Place | Command::Close | Command::Route
+    ) {
+        let (threads, deadline_ms) = solver_env();
+        args.threads = args.threads.or(threads);
+        args.deadline_ms = args.deadline_ms.or(deadline_ms);
+    }
     Ok(args)
 }
 
@@ -378,11 +389,8 @@ fn job_options(args: &Args) -> JobOptions {
 /// Loads a design by benchmark name (`buf`, `vco`, `synthetic`), as a
 /// closure-corpus entry (`scenario:<i>`), or from a JSON netlist file.
 fn load_design(spec: &str) -> Result<Design, String> {
-    match spec {
-        "buf" => return Ok(benchmarks::buf()),
-        "vco" => return Ok(benchmarks::vco()),
-        "synthetic" => return Ok(benchmarks::synthetic(Default::default())),
-        _ => {}
+    if let Some(design) = benchmarks::by_name(spec) {
+        return Ok(design);
     }
     if let Some(index) = spec.strip_prefix("scenario:") {
         let index: u32 = index
@@ -409,42 +417,37 @@ fn spec_config(spec: &str, config: PlacerConfig) -> PlacerConfig {
     }
 }
 
-/// The configuration the lint subcommand analyses against: the same
-/// design-affecting overrides the place path honors (λ_th, w/o-Cstr.),
-/// so `lint --presolve` judges the instance the solve would actually see.
-fn lint_config(args: &Args) -> PlacerConfig {
-    let mut config = PlacerConfig::default();
-    if let Some(lambda) = args.lambda_th {
-        let mut density = config.pin_density.unwrap_or_default();
-        density.lambda = Some(lambda);
-        config.pin_density = Some(density);
-    }
-    if args.no_ams {
-        config = config.without_ams_constraints();
-    }
-    config
+/// The design and configuration a local place, close, route or lint run
+/// works on: the [`PlaceRequest`] these flags describe, resolved by the
+/// two calls the server makes ([`PlaceRequest::effective_design`] and
+/// [`JobOptions::to_config`]), then a corpus scenario's die aspect. So
+/// `lint` judges the instance the solve sees, and a local run solves the
+/// instance `submit` would. Without a loadable design it says why and
+/// returns the exit code.
+fn local_job(args: &Args) -> Result<(Design, PlacerConfig), ExitCode> {
+    let Some(spec) = &args.design_path else {
+        eprint!("{USAGE}");
+        return Err(ExitCode::FAILURE);
+    };
+    let request = PlaceRequest {
+        design: load_design(spec).map_err(|msg| {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        })?,
+        options: job_options(args),
+        idempotency_key: None,
+    };
+    let config = spec_config(spec, request.options.to_config());
+    Ok((request.effective_design(), config))
 }
 
 /// The `amsplace lint` subcommand. Exits 2 when `--presolve` proves the
 /// instance infeasible, 1 on error-severity diagnostics, 0 otherwise.
 fn run_lint(args: &Args) -> ExitCode {
-    let Some(spec) = &args.design_path else {
-        eprint!("{USAGE}");
-        return ExitCode::FAILURE;
+    let (design, config) = match local_job(args) {
+        Ok(job) => job,
+        Err(code) => return code,
     };
-    let design = match load_design(spec) {
-        Ok(d) => d,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let design = if args.no_ams {
-        design.without_constraints()
-    } else {
-        design
-    };
-    let config = lint_config(args);
     let report = analysis::lint(&design, &config);
     if report.is_clean() {
         println!("{}: no findings", design.name());
@@ -505,25 +508,11 @@ fn place_exit_code(e: &PlaceError) -> ExitCode {
 /// The `amsplace close` subcommand: run the place → route → tighten loop
 /// until the routing is overflow-free or the iteration budget expires.
 fn run_close(args: &Args) -> ExitCode {
-    let Some(spec) = &args.design_path else {
-        eprint!("{USAGE}");
-        return ExitCode::FAILURE;
+    let (design, config) = match local_job(args) {
+        Ok(job) => job,
+        Err(code) => return code,
     };
-    let design = match load_design(spec) {
-        Ok(d) => d,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let design = if args.no_ams {
-        design.without_constraints()
-    } else {
-        design
-    };
-    let options = job_options(args);
-    let config = spec_config(spec, options.to_config());
-    let opts = options.closure().unwrap_or_default();
+    let opts = job_options(args).closure().unwrap_or_default();
     eprintln!(
         "closing {} ({} cells, {} nets, <= {} iterations)...",
         design.name(),
@@ -579,35 +568,17 @@ fn run_close(args: &Args) -> ExitCode {
 /// The `amsplace route` subcommand: place once, route, and report total
 /// and per-window congestion without running the closure loop.
 fn run_route(args: &Args) -> ExitCode {
-    let Some(spec) = &args.design_path else {
-        eprint!("{USAGE}");
-        return ExitCode::FAILURE;
+    let (design, config) = match local_job(args) {
+        Ok(job) => job,
+        Err(code) => return code,
     };
-    let design = match load_design(spec) {
-        Ok(d) => d,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let design = if args.no_ams {
-        design.without_constraints()
-    } else {
-        design
-    };
-    let options = job_options(args);
-    let config = spec_config(spec, options.to_config());
     eprintln!(
         "placing + routing {} ({} cells, {} nets)...",
         design.name(),
         design.cells().len(),
         design.nets().len()
     );
-    let placement = match Placer::builder(&design)
-        .config(config)
-        .build()
-        .and_then(|p| p.place())
-    {
+    let placement = match Placer::new(&design, config).and_then(|p| p.place()) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
@@ -877,14 +848,9 @@ fn main() -> ExitCode {
     }
 
     if let Some((which, out)) = &args.demo {
-        let design = match which.as_str() {
-            "buf" => benchmarks::buf(),
-            "vco" => benchmarks::vco(),
-            "synthetic" => benchmarks::synthetic(Default::default()),
-            other => {
-                eprintln!("error: unknown demo {other:?} (buf|vco|synthetic)");
-                return ExitCode::FAILURE;
-            }
+        let Some(design) = benchmarks::by_name(which) else {
+            eprintln!("error: unknown demo {which:?} (buf|vco|synthetic)");
+            return ExitCode::FAILURE;
         };
         if let Err(e) = std::fs::write(out, design.to_json()) {
             eprintln!("error: writing {out}: {e}");
@@ -900,25 +866,10 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let Some(path) = &args.design_path else {
-        eprint!("{USAGE}");
-        return ExitCode::FAILURE;
+    let (design, config) = match local_job(&args) {
+        Ok(job) => job,
+        Err(code) => return code,
     };
-    let design = match load_design(path) {
-        Ok(d) => d,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let design = if args.no_ams {
-        design.without_constraints()
-    } else {
-        design
-    };
-
-    let options = job_options(&args);
-    let config = spec_config(path, options.to_config());
 
     eprintln!(
         "placing {} ({} cells, {} nets)...",
@@ -926,18 +877,15 @@ fn main() -> ExitCode {
         design.cells().len(),
         design.nets().len()
     );
-    let mut builder = Placer::builder(&design).config(config);
-    if let Some(n) = args.threads {
-        builder = builder.threads(n);
-    }
-    if let Some(ms) = args.deadline_ms {
-        builder = builder.deadline(std::time::Duration::from_millis(ms));
-    }
-    let placement = match builder.build().and_then(|p| p.place()) {
+    // `Placer::new`, not the builder: the flags, environment included, are
+    // already settled in `config`, and the builder would let the
+    // environment beat an explicit flag.
+    let placement = match Placer::new(&design, config).and_then(|p| p.place()) {
         Ok(p) => p,
         Err(PlaceError::Lint(report)) => {
             eprintln!("error: the design fails the pre-solve lint:");
             eprintln!("{report}");
+            let path = args.design_path.as_deref().unwrap_or_default();
             eprintln!("hint: `amsplace lint {path}` re-runs these checks standalone");
             return ExitCode::FAILURE;
         }
