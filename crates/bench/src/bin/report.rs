@@ -42,7 +42,7 @@ fn main() {
     let bwo = run_smt_arm(
         "w/o Cstr.",
         benchmarks::buf().without_constraints(),
-        buf_cfg.clone().without_ams_constraints(),
+        buf_cfg.clone(),
     );
     eprintln!("[report] BUF w/ constraints...");
     let bw = run_smt_arm("w/ Cstr.", benchmarks::buf(), buf_cfg);
@@ -113,7 +113,7 @@ fn main() {
     let vwo = run_smt_arm(
         "w/o Cstr.",
         benchmarks::vco().without_constraints(),
-        vco_cfg.clone().without_ams_constraints(),
+        vco_cfg.clone(),
     );
     eprintln!("[report] VCO w/ constraints...");
     let vw = run_smt_arm("w/ Cstr.", benchmarks::vco(), vco_cfg);

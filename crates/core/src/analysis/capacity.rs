@@ -5,14 +5,12 @@
 //! provably unsatisfiable, never merely suspicious.
 
 use super::presolve::PresolveConflict;
-use crate::config::PlacerConfig;
 use crate::ir::{ConstraintFamily, Provenance};
 use crate::scale::{bits_for, ScaleInfo};
 use ams_netlist::{Design, DiagCode, Diagnostic, LintReport, RegionId};
 
 pub(crate) fn check(
     design: &Design,
-    config: &PlacerConfig,
     scale: &ScaleInfo,
     proofs: &[PresolveConflict],
     report: &mut LintReport,
@@ -22,7 +20,7 @@ pub(crate) fn check(
             report.push(d);
         }
     }
-    check_bit_widths(design, config, scale, report);
+    check_bit_widths(design, scale, report);
     check_utilization(design, report);
 }
 
@@ -70,18 +68,11 @@ fn render(design: &Design, proof: &PresolveConflict) -> Option<Diagnostic> {
 
 /// `AMS-E012`: the QF_BV encoding caps terms at 64 bits; oversized die
 /// dimensions or net-weight sums would silently truncate (Eq. 3).
-fn check_bit_widths(
-    design: &Design,
-    config: &PlacerConfig,
-    scale: &ScaleInfo,
-    report: &mut LintReport,
-) {
+fn check_bit_widths(design: &Design, scale: &ScaleInfo, report: &mut LintReport) {
     // Mirrors encode::wirelength: Φ is span + log2(total weight) + 2 wide.
     let total_weight: u64 = design
         .net_ids()
-        .filter(|&n| {
-            design.net_degree(n) >= 2 && (config.toggles.clusters || !design.net(n).virtual_net)
-        })
+        .filter(|&n| design.net_degree(n) >= 2)
         .map(|n| u64::from(design.net(n).weight.max(1)))
         .sum();
     if total_weight > u64::from(u32::MAX) {

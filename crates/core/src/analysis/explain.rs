@@ -43,7 +43,7 @@ pub enum UnsatOutcome {
 /// from attribution. The first-solve conflict budget of `config.optimize`
 /// applies.
 pub fn explain_unsat(design: &Design, config: &PlacerConfig) -> UnsatOutcome {
-    let plan = PowerPlan::for_config(design, config);
+    let plan = PowerPlan::analyze(design);
     let scale = ScaleInfo::compute(design, config);
 
     // The region encoder panics on an empty Eq. 5 candidate set; that case
@@ -57,7 +57,7 @@ pub fn explain_unsat(design: &Design, config: &PlacerConfig) -> UnsatOutcome {
     }
 
     let mut smt = Smt::new();
-    let vars = VarMap::create(&mut smt, design, &scale, &plan, config, None);
+    let vars = VarMap::create(&mut smt, design, &scale, &plan, None);
     let encoding = encode::encode_design(&mut smt, design, &scale, &plan, &vars, config);
     let lowering = encoding.store.lower(&mut smt, 0, &ConstraintFamily::ALL);
 

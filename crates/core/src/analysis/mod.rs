@@ -57,7 +57,7 @@ pub fn lint_with(
     config: &PlacerConfig,
 ) -> LintReport {
     let scale = ScaleInfo::compute(design, config);
-    let plan = PowerPlan::for_config(design, config);
+    let plan = PowerPlan::analyze(design);
     let proofs = presolve::capacity_proofs(design, config, &scale, &plan);
     lint_report(design, constraints, config, &scale, &proofs)
 }
@@ -74,6 +74,6 @@ pub(crate) fn lint_report(
     let mut report = LintReport::new();
     configcheck::check(config, &mut report);
     ams_netlist::structure::check(design, constraints, &mut report);
-    capacity::check(design, config, scale, proofs, &mut report);
+    capacity::check(design, scale, proofs, &mut report);
     report
 }

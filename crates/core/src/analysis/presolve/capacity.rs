@@ -37,12 +37,8 @@ pub(crate) fn proofs(
     let mut proofs = region_candidates(scale, &regions);
     proofs.extend(die_area(scale, &regions));
     proofs.extend(pin_density(design, config, scale));
-    if config.toggles.symmetry {
-        proofs.extend(symmetry_parity(design, scale));
-    }
-    if config.toggles.power_abutment {
-        proofs.extend(power_stacking(design, scale, plan, &regions));
-    }
+    proofs.extend(symmetry_parity(design, scale));
+    proofs.extend(power_stacking(design, scale, plan, &regions));
     proofs
 }
 

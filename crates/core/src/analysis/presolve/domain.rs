@@ -22,7 +22,6 @@
 //! therefore kept.
 
 use super::PresolveConflict;
-use crate::config::PlacerConfig;
 use crate::encode::region::{region_bounds, Margins, RegionBounds};
 use crate::ir::{ConstraintFamily, Provenance};
 use crate::power::PowerPlan;
@@ -114,7 +113,6 @@ fn interval_over(cands: &[(u32, u32)], f: impl Fn(&(u32, u32)) -> u64) -> Interv
 /// emptied an interval — a static proof of infeasibility.
 pub(crate) fn analyze(
     design: &Design,
-    config: &PlacerConfig,
     scale: &ScaleInfo,
     plan: &PowerPlan,
 ) -> Result<Domains, PresolveConflict> {
@@ -196,15 +194,9 @@ pub(crate) fn analyze(
         iters += 1;
         propagate_regions(design, scale, &facts, &mut d, &mut changed)?;
         propagate_containment(design, scale, &mut d, &mut changed)?;
-        if config.toggles.symmetry {
-            propagate_symmetry(design, scale, &mut d, &mut changed)?;
-        }
-        if config.toggles.arrays {
-            propagate_arrays(design, scale, &mut d, &mut changed)?;
-        }
-        if config.toggles.power_abutment {
-            propagate_power(design, scale, plan, &mut d, &mut changed)?;
-        }
+        propagate_symmetry(design, scale, &mut d, &mut changed)?;
+        propagate_arrays(design, scale, &mut d, &mut changed)?;
+        propagate_power(design, scale, plan, &mut d, &mut changed)?;
     }
     Ok(d)
 }
@@ -611,12 +603,13 @@ fn propagate_power(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PlacerConfig;
     use ams_netlist::benchmarks;
 
     fn domains_for(design: &Design, config: &PlacerConfig) -> Domains {
         let scale = ScaleInfo::compute(design, config);
         let plan = PowerPlan::analyze(design);
-        analyze(design, config, &scale, &plan).expect("feasible fixture")
+        analyze(design, &scale, &plan).expect("feasible fixture")
     }
 
     #[test]
@@ -668,7 +661,7 @@ mod tests {
         };
         let scale = ScaleInfo::compute(&design, &config);
         let plan = PowerPlan::analyze(&design);
-        match analyze(&design, &config, &scale, &plan) {
+        match analyze(&design, &scale, &plan) {
             Ok(_) => {
                 // Extreme aspect ratios are clamped by die sizing; accept a
                 // feasible verdict only if the die really admits the region.

@@ -108,7 +108,8 @@ pub struct PresolveReport {
     /// Feasible-so-far or a static infeasibility proof.
     pub verdict: PresolveVerdict,
     /// Bit-vector bits the narrowed domains save versus Eq. 3 full-width
-    /// allocation (0 when pruning is disabled or nothing narrowed).
+    /// allocation (0 when the domain pass proved infeasibility or nothing
+    /// narrowed).
     pub vars_saved_bits: u64,
     /// One entry per pass that ran, in order.
     pub passes: Vec<PresolvePassStats>,
@@ -135,20 +136,18 @@ impl PresolveReport {
 /// Runs presolve standalone (the `amsplace lint --presolve` entry point).
 ///
 /// Computes scaling and the power plan exactly as [`crate::Placer::new`]
-/// would, runs the passes, and — when the domain pass succeeded and
-/// pruning is enabled — measures the bit savings on a scratch solver
-/// without bit-blasting any constraint.
+/// would, runs the passes, and — when the domain pass succeeded —
+/// measures the bit savings on a scratch solver without bit-blasting any
+/// constraint.
 pub fn presolve(design: &Design, config: &PlacerConfig) -> PresolveReport {
     let scale = ScaleInfo::compute(design, config);
-    let plan = PowerPlan::for_config(design, config);
+    let plan = PowerPlan::analyze(design);
     let proofs = capacity::proofs(design, config, &scale, &plan);
-    let mut report = presolve_with(design, config, &scale, &plan, &proofs);
-    if config.presolve.domain_pruning {
-        if let Some(domains) = &report.domains {
-            let mut scratch = Smt::new();
-            let vars = VarMap::create(&mut scratch, design, &scale, &plan, config, Some(domains));
-            report.vars_saved_bits = vars.saved_bits;
-        }
+    let mut report = presolve_with(design, &scale, &plan, &proofs);
+    if let Some(domains) = &report.domains {
+        let mut scratch = Smt::new();
+        let vars = VarMap::create(&mut scratch, design, &scale, &plan, Some(domains));
+        report.vars_saved_bits = vars.saved_bits;
     }
     report
 }
@@ -158,13 +157,12 @@ pub fn presolve(design: &Design, config: &PlacerConfig) -> PresolveReport {
 /// `scale`, `plan` and the proofs its lint gate already rendered.
 pub(crate) fn presolve_with(
     design: &Design,
-    config: &PlacerConfig,
     scale: &ScaleInfo,
     plan: &PowerPlan,
     proofs: &[PresolveConflict],
 ) -> PresolveReport {
     let mut passes = Vec::new();
-    let domains = match domain::analyze(design, config, scale, plan) {
+    let domains = match domain::analyze(design, scale, plan) {
         Ok(d) => {
             passes.push(PresolvePassStats {
                 pass: "domain",
@@ -265,15 +263,5 @@ mod tests {
         assert_eq!(c.family, ConstraintFamily::PinDensity);
         assert_eq!(c.pass, "capacity");
         assert!(c.message().contains("presolve capacity pass"), "{c:?}");
-    }
-
-    #[test]
-    fn disabling_pruning_reports_zero_savings() {
-        let design = benchmarks::buf();
-        let mut config = PlacerConfig::default();
-        config.presolve.domain_pruning = false;
-        let report = presolve(&design, &config);
-        assert_eq!(report.vars_saved_bits, 0);
-        assert_eq!(report.verdict, PresolveVerdict::Feasible);
     }
 }

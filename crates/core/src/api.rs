@@ -260,14 +260,16 @@ pub struct JobOptions {
     pub max_relax: Option<usize>,
     /// Pin-density threshold λ_th override (`--lambda-th`).
     pub lambda_th: Option<u64>,
-    /// Drop the AMS constraint families (`--no-ams`).
+    /// Drop the AMS constraint families (`--no-ams`): the paper's
+    /// "w/o Cstr." arm. [`PlaceRequest::effective_design`] strips them from
+    /// the design; the configuration does not change.
     pub no_ams: bool,
     /// Certified solving (`--certify`).
     pub certify: bool,
     /// Static presolve (`--no-presolve` turns it off).
     pub presolve: bool,
-    /// Run the routing-closure loop (`amsplace close` / the server's
-    /// closure job option): place, route, tighten hot windows, re-solve.
+    /// Run the routing-closure loop (`amsplace close` or `--close`, locally
+    /// or through `submit`): place, route, tighten hot windows, re-solve.
     pub close: bool,
     /// Closure iteration budget when `close` is set (`--max-iters`);
     /// `None` takes [`crate::ClosureConfig`]'s default.
@@ -317,9 +319,6 @@ impl JobOptions {
             let mut density = config.pin_density.unwrap_or_default();
             density.lambda = Some(lambda);
             config.pin_density = Some(density);
-        }
-        if self.no_ams {
-            config = config.without_ams_constraints();
         }
         if !self.presolve {
             config.presolve.enabled = false;

@@ -65,13 +65,13 @@ pub fn reference_place(
     if config.pin_density.is_some() {
         return ReferenceVerdict::Unsupported("pin density");
     }
-    if config.toggles.extensions && !design.constraints().extensions.is_empty() {
+    if !design.constraints().extensions.is_empty() {
         return ReferenceVerdict::Unsupported("extension margins");
     }
-    if config.toggles.arrays && !design.constraints().arrays.is_empty() {
+    if !design.constraints().arrays.is_empty() {
         return ReferenceVerdict::Unsupported("array constraints");
     }
-    if config.toggles.power_abutment && design.power_groups().len() > 1 {
+    if design.power_groups().len() > 1 {
         return ReferenceVerdict::Unsupported("multi-rail power abutment");
     }
 

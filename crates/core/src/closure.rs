@@ -180,44 +180,51 @@ pub fn close<F>(
     design: &Design,
     mut config: PlacerConfig,
     opts: &ClosureConfig,
+    route: F,
+) -> Result<(Placement, ClosureStats), PlaceError>
+where
+    F: FnMut(&Design, &Placement, &[WindowRect]) -> RouteFeedback,
+{
+    // Refuse bad options before paying for an encoding.
+    check(opts, &config)?;
+    // The whole point is warm re-solving; force reusable mode so rebase
+    // re-lowers instead of reporting Structural.
+    config.solver.reusable = true;
+    close_on(&mut Placer::new(design, config)?, opts, route)
+}
+
+/// The [`close`] loop on a placer the caller built, for example one that
+/// carries a cancel flag ([`Placer::set_cancel_flag`]): every solve of the
+/// loop then stops at the flag's next conflict boundary. The placer must
+/// be reusable ([`crate::SolverConfig::reusable`]), so each tightening
+/// re-solves warm on it.
+///
+/// # Errors
+///
+/// As [`close`], and [`PlaceError::Config`] when the placer is not
+/// reusable.
+pub fn close_on<F>(
+    placer: &mut Placer,
+    opts: &ClosureConfig,
     mut route: F,
 ) -> Result<(Placement, ClosureStats), PlaceError>
 where
     F: FnMut(&Design, &Placement, &[WindowRect]) -> RouteFeedback,
 {
-    if opts.max_iters == 0 {
+    let mut config = placer.config().clone();
+    check(opts, &config)?;
+    if !config.solver.reusable {
         return Err(PlaceError::Config(
-            "closure needs max_iters >= 1 (the first placement always runs)".into(),
-        ));
-    }
-    if opts.tighten_percent >= 100 {
-        return Err(PlaceError::Config(format!(
-            "closure tighten_percent {} must be < 100 to make progress",
-            opts.tighten_percent
-        )));
-    }
-    if opts.min_lambda == 0 {
-        return Err(PlaceError::Config(
-            "closure min_lambda must be >= 1 (a 0-pin window is unsatisfiable)".into(),
-        ));
-    }
-    if config.solver.certify {
-        return Err(PlaceError::Config(
-            "closure re-solves on a live solver (Placer::rebase), which cannot \
-             extend a certify-mode proof; drop --certify to close the loop"
+            "closure tightens windows on a live solver; build the placer with \
+             SolverConfig::reusable"
                 .into(),
         ));
     }
-    // The whole point is warm re-solving; force reusable mode so rebase
-    // re-lowers instead of reporting Structural.
-    config.solver.reusable = true;
-
-    let mut placer = Placer::new(design, config.clone())?;
     let mut stats = ClosureStats::default();
     loop {
         let mut placement = placer.place_mut()?;
         let probe = probe_windows(&placement);
-        let feedback = route(design, &placement, &probe.rects);
+        let feedback = route(placer.design(), &placement, &probe.rects);
         stats.iterations += 1;
         stats.routed_wl_trend.push(feedback.routed_wl);
 
@@ -273,25 +280,58 @@ where
     }
 }
 
+/// The range checks of [`close`] on `opts`, and its refusal of certify
+/// mode.
+fn check(opts: &ClosureConfig, config: &PlacerConfig) -> Result<(), PlaceError> {
+    if opts.max_iters == 0 {
+        return Err(PlaceError::Config(
+            "closure needs max_iters >= 1 (the first placement always runs)".into(),
+        ));
+    }
+    if opts.tighten_percent >= 100 {
+        return Err(PlaceError::Config(format!(
+            "closure tighten_percent {} must be < 100 to make progress",
+            opts.tighten_percent
+        )));
+    }
+    if opts.min_lambda == 0 {
+        return Err(PlaceError::Config(
+            "closure min_lambda must be >= 1 (a 0-pin window is unsatisfiable)".into(),
+        ));
+    }
+    if config.solver.certify {
+        return Err(PlaceError::Config(
+            "closure re-solves on a live solver (Placer::rebase), which cannot \
+             extend a certify-mode proof; drop --certify to close the loop"
+                .into(),
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ams_netlist::benchmarks;
 
-    fn quick_config() -> PlacerConfig {
+    /// Corpus scenario 0 under the CLI `--quick` budgets: a small design
+    /// with pin-density windows, so the loop logic runs in a fraction of
+    /// a second even in debug builds.
+    fn small() -> (Design, PlacerConfig) {
         let mut config = PlacerConfig::fast();
         config.optimize.k_iter = 1;
         config.optimize.conflict_budget = Some(20_000);
-        config
+        let s = crate::scenario::scenario(0);
+        let config = s.config(config);
+        (s.design, config)
     }
 
     #[test]
     fn clean_first_route_ends_after_one_iteration() {
-        let design = benchmarks::buf();
+        let (design, config) = small();
         let calls = std::cell::Cell::new(0usize);
         let (placement, stats) = close(
             &design,
-            quick_config(),
+            config,
             &ClosureConfig::default(),
             |_, _, windows| {
                 calls.set(calls.get() + 1);
@@ -315,11 +355,11 @@ mod tests {
 
     #[test]
     fn hot_windows_are_tightened_and_only_those() {
-        let design = benchmarks::buf();
+        let (design, config) = small();
         let rounds = std::cell::Cell::new(0usize);
         let (placement, stats) = close(
             &design,
-            quick_config(),
+            config,
             &ClosureConfig::default(),
             |_, _, windows| {
                 let round = rounds.get();
@@ -350,18 +390,16 @@ mod tests {
 
     #[test]
     fn budget_expiry_reports_not_clean() {
-        let design = benchmarks::buf();
+        let (design, config) = small();
         let opts = ClosureConfig {
             max_iters: 2,
             ..ClosureConfig::default()
         };
-        let (_, stats) = close(&design, quick_config(), &opts, |_, _, windows| {
-            RouteFeedback {
-                routed_wl: 100,
-                vias: 0,
-                overflow: 7,
-                window_overflow: vec![1; windows.len()],
-            }
+        let (_, stats) = close(&design, config, &opts, |_, _, windows| RouteFeedback {
+            routed_wl: 100,
+            vias: 0,
+            overflow: 7,
+            window_overflow: vec![1; windows.len()],
         })
         .expect("close");
         assert_eq!(stats.iterations, 2);
@@ -371,10 +409,10 @@ mod tests {
 
     #[test]
     fn overflow_outside_probe_windows_stops_without_tightening() {
-        let design = benchmarks::buf();
+        let (design, config) = small();
         let (_, stats) = close(
             &design,
-            quick_config(),
+            config,
             &ClosureConfig::default(),
             |_, _, windows| RouteFeedback {
                 routed_wl: 50,
@@ -391,8 +429,7 @@ mod tests {
 
     #[test]
     fn certify_mode_is_rejected() {
-        let design = benchmarks::buf();
-        let mut config = quick_config();
+        let (design, mut config) = small();
         config.solver.certify = true;
         let err = close(&design, config, &ClosureConfig::default(), |_, _, w| {
             RouteFeedback {
@@ -406,14 +443,17 @@ mod tests {
 
     #[test]
     fn probe_windows_match_the_encoded_origin_grid() {
-        let design = benchmarks::buf();
-        let placement = Placer::new(&design, quick_config())
+        let (design, config) = small();
+        let placement = Placer::new(&design, config)
             .expect("encode")
             .place()
             .expect("place");
         let probe = probe_windows(&placement);
         assert_eq!(probe.rects.len(), probe.origins.len());
-        assert!(!probe.rects.is_empty(), "BUF places with pin density on");
+        assert!(
+            !probe.rects.is_empty(),
+            "the scenario places with pin density on"
+        );
         let (uw, uh) = placement.units;
         for (rect, &(sx, sy)) in probe.rects.iter().zip(&probe.origins) {
             assert_eq!(rect.x, sx * uw);

@@ -2,55 +2,6 @@
 
 use std::time::Duration;
 
-/// Which constraint families to encode.
-///
-/// The paper's "w/ Cstr." arm enables everything; "w/o Cstr." disables the
-/// four AMS families while keeping the *critical* constraints (regions,
-/// non-overlap, power abutment, pin density) "to ensure routability".
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConstraintToggles {
-    /// Hierarchical symmetry constraints (Eq. 8).
-    pub symmetry: bool,
-    /// Array and common-centroid constraints (Eq. 9–10).
-    pub arrays: bool,
-    /// Cluster constraints (virtual nets).
-    pub clusters: bool,
-    /// Extension constraints (Eq. 11).
-    pub extensions: bool,
-    /// Power-abutment constraints (Eq. 12). Always recommended.
-    pub power_abutment: bool,
-}
-
-impl ConstraintToggles {
-    /// All families on — the paper's "w/ Cstr." arm.
-    pub fn all() -> ConstraintToggles {
-        ConstraintToggles {
-            symmetry: true,
-            arrays: true,
-            clusters: true,
-            extensions: true,
-            power_abutment: true,
-        }
-    }
-
-    /// AMS families off, critical constraints on — the "w/o Cstr." arm.
-    pub fn critical_only() -> ConstraintToggles {
-        ConstraintToggles {
-            symmetry: false,
-            arrays: false,
-            clusters: false,
-            extensions: false,
-            power_abutment: true,
-        }
-    }
-}
-
-impl Default for ConstraintToggles {
-    fn default() -> ConstraintToggles {
-        ConstraintToggles::all()
-    }
-}
-
 /// Window-based pin-density checking parameters (Eq. 13–14).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PinDensityConfig {
@@ -58,11 +9,9 @@ pub struct PinDensityConfig {
     pub beta_x: u32,
     /// Scaled window height `β_y`.
     pub beta_y: u32,
-    /// Pin-count threshold `λ_th` per window; `None` derives it from the
-    /// average density with [`PinDensityConfig::auto_margin`].
+    /// Pin-count threshold `λ_th` per window; `None` derives it, 15% above
+    /// the densest window of a tight reference packing of the design.
     pub lambda: Option<u64>,
-    /// Multiplier over the average window pin count when `lambda` is `None`.
-    pub auto_margin: f64,
     /// Window step in x; 1 checks every position as in the paper, larger
     /// strides trade coverage for encoding size.
     pub stride_x: u32,
@@ -84,7 +33,6 @@ impl Default for PinDensityConfig {
             beta_x: 4,
             beta_y: 2,
             lambda: None,
-            auto_margin: 1.15,
             stride_x: 2,
             stride_y: 1,
             lambda_overrides: Vec::new(),
@@ -167,12 +115,9 @@ pub struct SolverConfig {
     /// calling thread, bit-for-bit deterministically. More threads run a
     /// diversified portfolio that returns the first verdict; results stay
     /// correct but iteration-level outcomes may vary run to run.
+    /// Portfolio workers share learnt clauses and diversify their search
+    /// as [`ams_sat::PortfolioConfig::default`] sets out.
     pub threads: usize,
-    /// Learnt clauses with LBD at or below this are shared between
-    /// portfolio workers; `0` disables sharing.
-    pub share_lbd_max: u32,
-    /// Base seed for worker diversification (phase/branching randomness).
-    pub seed: u64,
     /// Wall-clock deadline for the whole `place()` call, covering every
     /// SAT round and relaxation rung. When it expires after the first
     /// model, the best placement so far is returned (tagged
@@ -201,8 +146,6 @@ impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
             threads: 1,
-            share_lbd_max: 4,
-            seed: 0x5EED,
             deadline: None,
             certify: false,
             reusable: false,
@@ -235,23 +178,17 @@ fn parse_solver_env(lookup: impl Fn(&str) -> Option<String>) -> (Option<usize>, 
 /// pruning of the lowered encoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PresolveConfig {
-    /// Whether presolve runs at all. With `false`, the placer encodes and
-    /// solves exactly as before this analysis existed.
+    /// Whether presolve runs at all. With `true` (the default), the
+    /// narrowed interval domains also size the coordinate variables,
+    /// except under [`SolverConfig::certify`], whose certificate proves
+    /// the un-pruned encoding. With `false`, the placer encodes that
+    /// un-pruned encoding and finds no infeasibility before solving.
     pub enabled: bool,
-    /// Feed the narrowed interval domains into variable allocation so
-    /// coordinates get fewer bits. Sound (pruning only removes values no
-    /// model can take), but automatically disabled under
-    /// [`SolverConfig::certify`] so certified runs prove the un-pruned
-    /// encoding.
-    pub domain_pruning: bool,
 }
 
 impl Default for PresolveConfig {
     fn default() -> PresolveConfig {
-        PresolveConfig {
-            enabled: true,
-            domain_pruning: true,
-        }
+        PresolveConfig { enabled: true }
     }
 }
 
@@ -281,8 +218,6 @@ pub struct PlacerConfig {
     /// Extra multiplicative slack on the die, useful when heavy constraints
     /// make tight dies infeasible.
     pub die_slack: f64,
-    /// Constraint family toggles.
-    pub toggles: ConstraintToggles,
     /// Pin-density checking; `None` disables it (an ablation arm — the
     /// paper argues placements may then be unroutable).
     pub pin_density: Option<PinDensityConfig>,
@@ -307,7 +242,6 @@ impl Default for PlacerConfig {
             utilization: 0.92,
             aspect_ratio: 1.0,
             die_slack: 1.04,
-            toggles: ConstraintToggles::all(),
             pin_density: Some(PinDensityConfig::default()),
             optimize: OptimizeConfig::default(),
             solver: SolverConfig::default(),
@@ -332,14 +266,6 @@ impl PlacerConfig {
                 ..OptimizeConfig::default()
             },
             ..PlacerConfig::default()
-        }
-    }
-
-    /// The "w/o Cstr." arm of this configuration.
-    pub fn without_ams_constraints(&self) -> PlacerConfig {
-        PlacerConfig {
-            toggles: ConstraintToggles::critical_only(),
-            ..self.clone()
         }
     }
 
@@ -391,12 +317,6 @@ impl PlacerConfig {
         if let Some(pd) = &self.pin_density {
             if pd.beta_x == 0 || pd.beta_y == 0 || pd.stride_x == 0 || pd.stride_y == 0 {
                 return Err("pin-density window and stride must be nonzero".into());
-            }
-            if !(pd.auto_margin >= 1.0 && pd.auto_margin.is_finite()) {
-                return Err(format!(
-                    "pin-density auto margin {} must be finite and >= 1",
-                    pd.auto_margin
-                ));
             }
             if !pd.lambda_overrides.windows(2).all(|w| w[0].0 < w[1].0) {
                 return Err(
@@ -513,9 +433,27 @@ mod tests {
 
     #[test]
     fn without_ams_keeps_critical() {
-        let c = PlacerConfig::default().without_ams_constraints();
-        assert!(!c.toggles.symmetry);
-        assert!(c.toggles.power_abutment);
-        assert!(c.pin_density.is_some());
+        let request = crate::api::PlaceRequest {
+            design: ams_netlist::benchmarks::vco(),
+            options: crate::api::JobOptions {
+                no_ams: true,
+                ..crate::api::JobOptions::default()
+            },
+            idempotency_key: None,
+        };
+        let stripped = request.effective_design();
+        assert!(!request.design.constraints().is_empty());
+        assert!(stripped.constraints().is_empty());
+        // Regions and power groups stay, so non-overlap, containment and
+        // power abutment are encoded as before; pin density is configured.
+        assert_eq!(stripped.regions(), request.design.regions());
+        assert_eq!(stripped.power_groups(), request.design.power_groups());
+        assert_eq!(
+            crate::PowerPlan::analyze(&stripped),
+            crate::PowerPlan::analyze(&request.design)
+        );
+        let config = request.options.to_config();
+        assert!(config.pin_density.is_some());
+        assert_eq!(config, crate::api::JobOptions::default().to_config());
     }
 }

@@ -330,14 +330,12 @@ fn assert_array_keepout(
     let bx = vars.array_box[ai];
     let (lwx, lwy) = lifted(scale);
     let (mut ml, mut mr, mut mb, mut mt) = (0u32, 0u32, 0u32, 0u32);
-    if config.toggles.extensions {
-        for e in &design.constraints().extensions {
-            if e.target == ExtensionTarget::Array(ai) {
-                ml = ml.max(rescale(scale.scale_x_ceil(e.left), config));
-                mr = mr.max(rescale(scale.scale_x_ceil(e.right), config));
-                mb = mb.max(rescale(scale.scale_y_ceil(e.bottom), config));
-                mt = mt.max(rescale(scale.scale_y_ceil(e.top), config));
-            }
+    for e in &design.constraints().extensions {
+        if e.target == ExtensionTarget::Array(ai) {
+            ml = ml.max(rescale(scale.scale_x_ceil(e.left), config));
+            mr = mr.max(rescale(scale.scale_x_ceil(e.right), config));
+            mb = mb.max(rescale(scale.scale_y_ceil(e.bottom), config));
+            mt = mt.max(rescale(scale.scale_y_ceil(e.top), config));
         }
     }
     let region = design.cell(arr.cells[0]).region;

@@ -53,16 +53,10 @@ pub(crate) fn encode_design(
     region::assert_regions(smt, &mut store, design, scale, vars, config);
     region::assert_containment(smt, &mut store, design, scale, vars);
     let margins = region::cell_margins(design, scale, config);
-    region::assert_cell_non_overlap(smt, &mut store, design, scale, vars, config, &margins);
-    if config.toggles.symmetry {
-        symmetry::assert_symmetry(smt, &mut store, design, scale, vars);
-    }
-    if config.toggles.arrays {
-        array::assert_arrays(smt, &mut store, design, scale, vars, config);
-    }
-    if config.toggles.power_abutment {
-        power_abut::assert_power_abutment(smt, &mut store, design, scale, vars, plan);
-    }
+    region::assert_cell_non_overlap(smt, &mut store, design, scale, vars, &margins);
+    symmetry::assert_symmetry(smt, &mut store, design, scale, vars);
+    array::assert_arrays(smt, &mut store, design, scale, vars, config);
+    power_abut::assert_power_abutment(smt, &mut store, design, scale, vars, plan);
     let pd_info = config
         .pin_density
         .as_ref()

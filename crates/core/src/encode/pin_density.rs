@@ -27,7 +27,11 @@ pub struct PinDensityInfo {
     pub windows: usize,
 }
 
-/// Resolves `λ_th`: the configured value, or `auto_margin` times the
+/// The margin an unset `λ_th` keeps over the reference packing's densest
+/// window.
+const AUTO_MARGIN: f64 = 1.15;
+
+/// Resolves `λ_th`: the configured value, or [`AUTO_MARGIN`] times the
 /// densest window of a *reference packing* — a tight greedy row layout of
 /// the same cells. Because Eq. 13 counts every pin of every overlapping
 /// cell, a threshold derived from average density would be unsatisfiable
@@ -44,7 +48,7 @@ pub(crate) fn resolve_lambda(design: &Design, scale: &ScaleInfo, cfg: &PinDensit
         .map(|c| design.pin_count(c) as u64)
         .max()
         .unwrap_or(0);
-    ((reference as f64 * cfg.auto_margin).ceil() as u64).max(max_cell_pins + 1)
+    ((reference as f64 * AUTO_MARGIN).ceil() as u64).max(max_cell_pins + 1)
 }
 
 /// Max window pin load of a tight greedy row packing of the design's cells

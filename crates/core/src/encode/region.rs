@@ -10,7 +10,7 @@ use ams_netlist::{CellId, Design, ExtensionTarget, RegionId};
 use ams_smt::{Smt, Term};
 
 /// Per-cell extension margins in scaled units, derived from cell-target
-/// extension constraints when the family is enabled.
+/// extension constraints.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Margins {
     pub left: u32,
@@ -26,9 +26,6 @@ pub(crate) fn cell_margins(
     config: &PlacerConfig,
 ) -> Vec<Margins> {
     let mut m = vec![Margins::default(); design.cells().len()];
-    if !config.toggles.extensions {
-        return m;
-    }
     for e in &design.constraints().extensions {
         if let ExtensionTarget::Cell(c) = e.target {
             let mm = &mut m[c.index()];
@@ -59,9 +56,6 @@ pub(crate) fn region_margins(
     r: RegionId,
 ) -> Margins {
     let mut m = Margins::default();
-    if !config.toggles.extensions {
-        return m;
-    }
     for e in &design.constraints().extensions {
         if e.target == ExtensionTarget::Region(r) {
             m.left = m.left.max(rescale(scale.scale_x_ceil(e.left), config));
@@ -301,19 +295,16 @@ pub(crate) fn assert_cell_non_overlap(
     design: &Design,
     scale: &ScaleInfo,
     vars: &VarMap,
-    config: &PlacerConfig,
     margins: &[Margins],
 ) {
     store.family(ConstraintFamily::CoreGeometry);
     // Cells covered by a slot-encoded array: pairs inside the same such
     // array need no explicit disjointness.
     let mut slotted_array_of: Vec<Option<usize>> = vec![None; design.cells().len()];
-    if config.toggles.arrays {
-        for (ai, arr) in design.constraints().arrays.iter().enumerate() {
-            if super::array::slots_cover_pairs(design, scale, ai) {
-                for &c in &arr.cells {
-                    slotted_array_of[c.index()] = Some(ai);
-                }
+    for (ai, arr) in design.constraints().arrays.iter().enumerate() {
+        if super::array::slots_cover_pairs(design, scale, ai) {
+            for &c in &arr.cells {
+                slotted_array_of[c.index()] = Some(ai);
             }
         }
     }

@@ -121,15 +121,12 @@ mod tests {
     use ams_netlist::rng::SplitMix64;
 
     /// Straight-line reference: re-derives net inclusion from the design
-    /// (degree ≥ 2, virtual nets only with the clusters toggle) and spans
-    /// from raw connection lists, sharing no code with the measured path.
-    fn straight_line_hpwl(design: &Design, config: &PlacerConfig, xs: &[u64], ys: &[u64]) -> u64 {
+    /// (degree ≥ 2) and spans from raw connection lists, sharing no code
+    /// with the measured path.
+    fn straight_line_hpwl(design: &Design, xs: &[u64], ys: &[u64]) -> u64 {
         let mut total = 0u64;
         for n in design.net_ids() {
             if design.net_degree(n) < 2 {
-                continue;
-            }
-            if design.net(n).virtual_net && !config.toggles.clusters {
                 continue;
             }
             let mut cx: Vec<u64> = design
@@ -166,7 +163,7 @@ mod tests {
             let scale = crate::scale::ScaleInfo::compute(&design, &config);
             let plan = PowerPlan::default();
             let mut smt = Smt::new();
-            let vars = VarMap::create(&mut smt, &design, &scale, &plan, &config, None);
+            let vars = VarMap::create(&mut smt, &design, &scale, &plan, None);
 
             // Arbitrary (not necessarily legal) positions: the measurement
             // is a pure function of coordinates, not of placement legality.
@@ -177,7 +174,7 @@ mod tests {
 
             assert_eq!(
                 measure_weighted_hpwl(&design, &vars, &xs, &ys),
-                straight_line_hpwl(&design, &config, &xs, &ys),
+                straight_line_hpwl(&design, &xs, &ys),
                 "HPWL measurement diverged on seed {seed}"
             );
         }

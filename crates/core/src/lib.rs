@@ -68,8 +68,8 @@ mod vars;
 pub use analysis::presolve::{PresolveConflict, PresolveReport, PresolveVerdict};
 pub use closure::{ClosureConfig, ClosureStats, RouteFeedback, WindowRect};
 pub use config::{
-    solver_env, ConstraintToggles, OptimizeConfig, PinDensityConfig, PlacerConfig, PresolveConfig,
-    RecoveryConfig, SolverConfig,
+    solver_env, OptimizeConfig, PinDensityConfig, PlacerConfig, PresolveConfig, RecoveryConfig,
+    SolverConfig,
 };
 pub use ir::{ConstraintFamily, FamilyStats, Provenance};
 pub use placement::{

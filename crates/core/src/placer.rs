@@ -301,8 +301,8 @@ pub struct Placer {
     /// Presolve's static infeasibility proof for the current
     /// configuration, returned by `presolve_fast_path`.
     presolve_conflict: Option<PresolveConflict>,
-    /// The domains `vars` was narrowed against; with `scale`, `plan` and
-    /// `toggles.clusters`, the inputs of [`VarMap::create`].
+    /// The domains `vars` was narrowed against; with the design, `scale`
+    /// and `plan`, the inputs of [`VarMap::create`].
     domains: Option<Domains>,
     // Kept so recovery-ladder rebuilds can reinstall the caller's flag.
     cancel: Option<Arc<AtomicBool>>,
@@ -321,15 +321,6 @@ pub struct Placer {
     warm_pending: Option<WarmStats>,
 }
 
-/// The families a live placer can retire and re-lower when a new
-/// configuration changes their records. A change to any other family
-/// rebuilds the placer.
-const RELOWERABLE: [ConstraintFamily; 3] = [
-    ConstraintFamily::CoreGeometry,
-    ConstraintFamily::Arrays,
-    ConstraintFamily::PinDensity,
-];
-
 /// Everything derived from `(design, config)` before the solver sees a
 /// term: the power plan, the scaled geometry, the lint gate and presolve.
 /// [`Placer::new`] builds its solver from it, and `Placer::reconfigure`
@@ -340,14 +331,14 @@ struct FrontHalf {
     presolve: Option<PresolveStats>,
     presolve_conflict: Option<PresolveConflict>,
     /// The domains to narrow variable allocation against: present when
-    /// presolve ran with pruning, its domain pass succeeded, and certify
-    /// did not veto them.
+    /// presolve ran, its domain pass succeeded, and certify did not veto
+    /// them.
     domains: Option<Domains>,
 }
 
 fn front_half(design: &Design, config: &PlacerConfig) -> Result<FrontHalf, PlaceError> {
     // Phase 1: power analysis (Fig. 3).
-    let plan = PowerPlan::for_config(design, config);
+    let plan = PowerPlan::analyze(design);
 
     // Phase 2: scaling and variable initialization.
     let scale = ScaleInfo::compute(design, config);
@@ -389,7 +380,7 @@ fn front_half(design: &Design, config: &PlacerConfig) -> Result<FrontHalf, Place
         domains: None,
     };
     if config.presolve.enabled {
-        let report = presolve::presolve_with(design, config, &front.scale, &front.plan, &proofs);
+        let report = presolve::presolve_with(design, &front.scale, &front.plan, &proofs);
         front.presolve = Some(PresolveStats {
             ran: true,
             verdict: if report.is_infeasible() {
@@ -404,7 +395,7 @@ fn front_half(design: &Design, config: &PlacerConfig) -> Result<FrontHalf, Place
         // Certified runs prove the un-pruned encoding: domain pruning is
         // sound, but the certificate should axiomatize exactly the vanilla
         // bit-blast the differential harness and CI smoke expect.
-        if config.presolve.domain_pruning && !config.solver.certify {
+        if !config.solver.certify {
             front.domains = report.domains;
         }
     }
@@ -416,8 +407,6 @@ fn front_half(design: &Design, config: &PlacerConfig) -> Result<FrontHalf, Place
 fn portfolio(config: &PlacerConfig) -> Option<PortfolioConfig> {
     (config.solver.threads > 1).then(|| PortfolioConfig {
         threads: config.solver.threads,
-        share_lbd_max: config.solver.share_lbd_max,
-        seed: config.solver.seed,
         ..PortfolioConfig::default()
     })
 }
@@ -452,9 +441,10 @@ pub enum WarmReuse {
         /// Learnt clauses alive at rebase time.
         learnts_carried: u64,
     },
-    /// The delta is structural (die sizing, constraint toggles, variable
-    /// widths, …): the live solver cannot absorb it — build a fresh
-    /// [`Placer`] instead. The placer's constraints are left unchanged.
+    /// The delta is structural: an input of the variable allocation (die
+    /// sizing, presolve's domains) differs, so the live solver cannot
+    /// absorb it — build a fresh [`Placer`] instead. The placer's
+    /// constraints are left unchanged.
     Structural,
 }
 
@@ -499,7 +489,7 @@ impl Placer {
             // Before any assertion, so the certificate's CNF is complete.
             smt.enable_proof();
         }
-        let vars = VarMap::create(&mut smt, &design, &scale, &plan, &config, domains.as_ref());
+        let vars = VarMap::create(&mut smt, &design, &scale, &plan, domains.as_ref());
         if let Some(stats) = &mut presolve {
             stats.vars_saved_bits = vars.saved_bits;
         }
@@ -559,15 +549,16 @@ impl Placer {
     /// diffed family by family against the live store, the mechanism the
     /// recovery ladder uses too. Three outcomes:
     ///
+    /// - the variable allocation differs (die sizing, presolve's domains)
+    ///   → [`WarmReuse::Structural`], constraints untouched: build a fresh
+    ///   placer.
     /// - no family differs → [`WarmReuse::Identical`]: only solver knobs
     ///   changed; nothing is re-lowered.
-    /// - only re-lowerable families differ (pin density, core geometry,
-    ///   arrays) → their selectors are retired and the new records
-    ///   lowered on the live solver — [`WarmReuse::Relowered`] with the
-    ///   learnt-clause carryover count.
-    /// - anything else differs (die sizing, domain pruning, symmetry or
-    ///   power structure, …) → [`WarmReuse::Structural`], constraints
-    ///   untouched: build a fresh placer.
+    /// - otherwise only families a configuration reaches differ (pin
+    ///   density, and the extension margins of core geometry and arrays)
+    ///   → their selectors are retired and the new records lowered on the
+    ///   live solver — [`WarmReuse::Relowered`] with the learnt-clause
+    ///   carryover count.
     ///
     /// Unless structural, the previous job's objective-tightening bounds
     /// are retracted (their selector is retired), the per-job conflict
@@ -606,19 +597,14 @@ impl Placer {
     /// Moves this live placer to `config`, the one way a live encoding
     /// changes. It reruns the front half of [`Placer::new`] and returns
     /// [`WarmReuse::Structural`], leaving the constraints untouched, when
-    /// an input of [`VarMap::create`] differs or a family outside
-    /// [`RELOWERABLE`] changes. Otherwise it re-encodes the design into
-    /// the live solver's term pool, retires and re-lowers only the changed
-    /// families, retracts the current objective bounds, and adopts the
-    /// configuration.
+    /// an input of [`VarMap::create`] differs. Otherwise it re-encodes the
+    /// design into the live solver's term pool, retires and re-lowers only
+    /// the changed families, retracts the current objective bounds, and
+    /// adopts the configuration.
     fn reconfigure(&mut self, config: PlacerConfig) -> Result<WarmReuse, PlaceError> {
         let front = front_half(&self.design, &config)?;
         // A different variable map invalidates every clause.
-        if front.scale != self.scale
-            || front.plan != self.plan
-            || front.domains != self.domains
-            || config.toggles.clusters != self.config.toggles.clusters
-        {
+        if front.scale != self.scale || front.plan != self.plan || front.domains != self.domains {
             return Ok(WarmReuse::Structural);
         }
         let encoding = encode::encode_design(
@@ -630,9 +616,16 @@ impl Placer {
             &config,
         );
         let changed = self.store.diff_families(&encoding.store);
-        if changed.iter().any(|fam| !RELOWERABLE.contains(fam)) {
-            return Ok(WarmReuse::Structural);
-        }
+        // The design alone fixes symmetry, power abutment and wirelength.
+        debug_assert!(
+            changed.iter().all(|fam| matches!(
+                fam,
+                ConstraintFamily::CoreGeometry
+                    | ConstraintFamily::Arrays
+                    | ConstraintFamily::PinDensity
+            )),
+            "a configuration changed a design-fixed family: {changed:?}"
+        );
 
         if let Some(sel) = self.objective.take() {
             self.smt.retire(sel);
@@ -676,6 +669,17 @@ impl Placer {
                 learnts_carried,
             }
         })
+    }
+
+    /// The design this placer encodes.
+    pub fn design(&self) -> &Design {
+        &self.design
+    }
+
+    /// The configuration this placer encodes now: the one it was built or
+    /// last rebased with, as relaxed by any recovery rung since.
+    pub fn config(&self) -> &PlacerConfig {
+        &self.config
     }
 
     /// The scaled-design geometry of this instance.
@@ -1059,7 +1063,7 @@ impl Placer {
 
         if blames(ConstraintFamily::CoreGeometry) || unattributed {
             // Rung B: soften extension margins, if they are in play.
-            if self.config.toggles.extensions && self.config.extension_scale > 0.0 {
+            if self.config.extension_scale > 0.0 {
                 let scale = if self.config.extension_scale > 0.5 {
                     0.5
                 } else {
@@ -1358,7 +1362,7 @@ mod tests {
         let mut config = PlacerConfig::default();
         config.solver.threads = 2;
         config.solver.deadline = Some(Duration::from_secs(9));
-        config.solver.seed = 42;
+        config.solver.reusable = true;
         let builder = || Placer::builder(&d).config(config.clone());
         let env = (Some(8), Some(500));
 
@@ -1375,7 +1379,7 @@ mod tests {
 
         let configured = builder().settled_config((None, None));
         assert_eq!(configured, config);
-        assert_eq!(from_env.solver.seed, 42);
+        assert!(from_env.solver.reusable);
     }
 
     /// White-box check of the per-job conflict accounting: the live SAT

@@ -6,7 +6,6 @@
 //! rails. This phase decides, per region, which power groups are present
 //! and in which vertical order their bands are stacked.
 
-use crate::config::PlacerConfig;
 use ams_netlist::{Design, PowerGroupId, RegionId};
 
 /// Power-abutment plan for one region.
@@ -54,16 +53,6 @@ impl PowerPlan {
             }
         }
         PowerPlan { regions }
-    }
-
-    /// The plan a configuration encodes: [`PowerPlan::analyze`] when the
-    /// power-abutment family is on, empty otherwise.
-    pub(crate) fn for_config(design: &Design, config: &PlacerConfig) -> PowerPlan {
-        if config.toggles.power_abutment {
-            PowerPlan::analyze(design)
-        } else {
-            PowerPlan::default()
-        }
     }
 
     /// Plan for one region, if it mixes power groups.

@@ -11,7 +11,6 @@
 //! constant high bits.
 
 use crate::analysis::presolve::{Domains, Interval};
-use crate::config::PlacerConfig;
 use crate::power::PowerPlan;
 use crate::scale::ScaleInfo;
 use ams_netlist::{Design, SymmetryAxis};
@@ -45,8 +44,8 @@ pub struct VarMap {
     pub region_w: Vec<Term>,
     /// `h_r` per region.
     pub region_h: Vec<Term>,
-    /// Net bounding boxes (`None` for nets without connections, e.g.
-    /// cleared virtual nets or nets excluded by toggles).
+    /// Net bounding boxes (`None` for nets with fewer than two
+    /// connections, e.g. the cleared virtual nets of a stripped design).
     pub net_box: Vec<Option<BoxVars>>,
     /// Doubled symmetry-axis position per symmetry group (`2·x_sym`;
     /// shared groups alias their parent's term).
@@ -85,7 +84,6 @@ impl VarMap {
         design: &Design,
         scale: &ScaleInfo,
         plan: &PowerPlan,
-        config: &PlacerConfig,
         domains: Option<&Domains>,
     ) -> VarMap {
         let (lx, ly) = (scale.lx, scale.ly);
@@ -132,9 +130,7 @@ impl VarMap {
         // cell min/max), so they keep full width.
         let mut net_box = Vec::new();
         for n in design.net_ids() {
-            let include = design.net_degree(n) >= 2
-                && (config.toggles.clusters || !design.net(n).virtual_net);
-            if include {
+            if design.net_degree(n) >= 2 {
                 net_box.push(Some(BoxVars {
                     xl: smt.bv_var(lx, format!("xl_n{}", n.index())),
                     xh: smt.bv_var(lx, format!("xh_n{}", n.index())),
@@ -215,6 +211,7 @@ impl VarMap {
 mod tests {
     use super::*;
     use crate::analysis::presolve;
+    use crate::config::PlacerConfig;
     use ams_netlist::benchmarks;
 
     #[test]
@@ -225,7 +222,7 @@ mod tests {
         let plan = PowerPlan::analyze(&design);
 
         let mut smt = Smt::new();
-        let full = VarMap::create(&mut smt, &design, &scale, &plan, &config, None);
+        let full = VarMap::create(&mut smt, &design, &scale, &plan, None);
         assert_eq!(full.saved_bits, 0);
 
         let report = presolve::presolve(&design, &config);

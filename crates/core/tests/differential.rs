@@ -13,8 +13,8 @@
 //! with a DRAT certificate the in-repo checker accepts, and the three
 //! verdicts must never disagree. A fourth arm checks presolve soundness:
 //! the static analyzer must never declare a reference-placeable design
-//! infeasible, and domain pruning must never change the plain placer's
-//! verdict or the legality of its models. `differential_mini_designs_agree` is the
+//! infeasible, and presolve's domain pruning must never change the plain
+//! placer's verdict or the legality of its models. `differential_mini_designs_agree` is the
 //! always-on subset; the fifty-design acceptance run is `#[ignore]`d into
 //! the release-mode scheduled job (see `.github/workflows/nightly.yml`)
 //! and the release step of CI.
@@ -73,10 +73,10 @@ fn smt_verdict(
     }
 }
 
-/// Decides one instance on the plain (non-certify) path with domain
-/// pruning forced on or off, for the presolve-soundness arm: pruning may
-/// only remove values outside the feasible set, so the verdict must match
-/// the unpruned run and the certified deciders exactly.
+/// Decides one instance on the plain (non-certify) path with presolve,
+/// and so domain pruning, forced on or off, for the presolve-soundness
+/// arm: pruning may only remove values outside the feasible set, so the
+/// verdict must match the unpruned run and the certified deciders exactly.
 fn plain_verdict(
     design: &ams_netlist::Design,
     cfg: &PlacerConfig,
@@ -84,8 +84,7 @@ fn plain_verdict(
     label: &str,
 ) -> Verdict {
     let mut cfg = cfg.clone();
-    cfg.presolve.enabled = true;
-    cfg.presolve.domain_pruning = pruning;
+    cfg.presolve.enabled = pruning;
     let placer = Placer::builder(design)
         .config(cfg)
         .build()

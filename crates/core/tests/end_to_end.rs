@@ -79,7 +79,7 @@ fn without_constraints_arm_still_legal_on_geometry() {
     });
     let plain = d.without_constraints();
     let p = Placer::builder(&plain)
-        .config(fast().without_ams_constraints())
+        .config(fast())
         .build()
         .expect("encode")
         .place()

@@ -107,7 +107,7 @@ fn domain_pruning_shrinks_the_encoding() {
     for design in [benchmarks::buf(), benchmarks::vco()] {
         let pruned = Placer::new(&design, PlacerConfig::default()).expect("pruned build");
         let mut cfg = PlacerConfig::default();
-        cfg.presolve.domain_pruning = false;
+        cfg.presolve.enabled = false;
         let full = Placer::new(&design, cfg).expect("unpruned build");
         assert!(
             pruned.sat_vars() < full.sat_vars(),
@@ -122,10 +122,11 @@ fn domain_pruning_shrinks_the_encoding() {
 }
 
 fn assert_pruning_agrees(design: &ams_netlist::Design, mut cfg: PlacerConfig) {
-    // Soundness, end to end: with and without domain pruning the placer
-    // must reach the same verdict and produce verify-clean placements.
+    // Soundness, end to end: with presolve (and so domain pruning) on and
+    // off, the placer must reach the same verdict and produce verify-clean
+    // placements.
     for pruning in [true, false] {
-        cfg.presolve.domain_pruning = pruning;
+        cfg.presolve.enabled = pruning;
         let p = Placer::builder(design)
             .config(cfg.clone())
             .threads(1)

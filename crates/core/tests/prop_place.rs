@@ -57,14 +57,14 @@ fn placements_always_pass_the_oracle() {
 }
 
 #[test]
-fn ams_toggles_never_unlock_an_illegal_core() {
-    // Turning AMS families off must still satisfy the critical
-    // constraints on the stripped design.
+fn the_stripped_arm_never_unlocks_an_illegal_core() {
+    // A design stripped of its AMS families must still place legally on
+    // the critical constraints it keeps.
     let mut rng = SplitMix64::new(0x70661E);
     for _ in 0..12 {
         let params = random_params(&mut rng);
         let design = synthetic(params).without_constraints();
-        let mut cfg = PlacerConfig::fast().without_ams_constraints();
+        let mut cfg = PlacerConfig::fast();
         cfg.optimize.k_iter = 0;
         cfg.optimize.conflict_budget = Some(20_000);
         if let Ok(placement) = Placer::new(&design, cfg).expect("encode").place() {

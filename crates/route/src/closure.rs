@@ -47,26 +47,25 @@ pub fn close_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ams_netlist::benchmarks;
     use ams_place::closure::probe_windows;
-
-    fn quick_config() -> PlacerConfig {
-        let mut config = PlacerConfig::fast();
-        config.optimize.k_iter = 1;
-        config.optimize.conflict_budget = Some(20_000);
-        config
-    }
 
     #[test]
     fn feedback_windows_parallel_the_probe_windows() {
-        let design = benchmarks::buf();
-        let placement = ams_place::Placer::builder(&design)
-            .config(quick_config())
+        // Corpus scenario 0 under the `--quick` budgets: small, with
+        // pin-density windows.
+        let mut config = PlacerConfig::fast();
+        config.optimize.k_iter = 1;
+        config.optimize.conflict_budget = Some(20_000);
+        let s = ams_place::scenario::scenario(0);
+        let placement = ams_place::Placer::builder(&s.design)
+            .config(s.config(config))
             .build()
             .unwrap()
             .place()
             .unwrap();
+        let design = s.design;
         let probe = probe_windows(&placement);
+        assert!(!probe.rects.is_empty());
         let fb = route_feedback(&design, &placement, &probe.rects, RouterConfig::default());
         assert_eq!(fb.window_overflow.len(), probe.rects.len());
     }

@@ -431,8 +431,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 fn cause_priority(c: StopCause) -> u8 {
     match c {
         StopCause::Deadline => 3,
-        StopCause::ConflictBudget => 2,
-        StopCause::PropagationBudget => 1,
+        StopCause::ConflictBudget => 1,
         StopCause::AllWorkersPanicked => 0,
     }
 }

@@ -8,7 +8,7 @@
 //! * Luby restarts,
 //! * learnt-database reduction ordered by (LBD, activity),
 //! * incremental solving under assumptions with failed-assumption cores,
-//! * conflict/propagation budgets for anytime use.
+//! * conflict budgets for anytime use.
 
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::drat::ProofLog;
@@ -45,8 +45,6 @@ pub enum SolveResult {
 pub enum StopCause {
     /// The conflict budget ([`Solver::set_conflict_budget`]) ran out.
     ConflictBudget,
-    /// The propagation budget ([`Solver::set_propagation_budget`]) ran out.
-    PropagationBudget,
     /// The wall-clock deadline ([`Solver::set_deadline`]) passed.
     Deadline,
     /// Every portfolio worker panicked; reported by
@@ -147,7 +145,6 @@ pub struct Solver {
     analyze_toclear: Vec<Lit>,
 
     conflict_budget: Option<u64>,
-    propagation_budget: Option<u64>,
     /// Wall-clock deadline; checked precisely at quiescent points and
     /// coarsely (every [`DEADLINE_CHECK_INTERVAL`] conflicts/decisions)
     /// inside the search to stay off the hot path.
@@ -241,7 +238,6 @@ impl Clone for Solver {
             analyze_stack: self.analyze_stack.clone(),
             analyze_toclear: self.analyze_toclear.clone(),
             conflict_budget: self.conflict_budget,
-            propagation_budget: self.propagation_budget,
             deadline: self.deadline,
             deadline_check_in: self.deadline_check_in,
             last_stop_cause: self.last_stop_cause,
@@ -287,7 +283,6 @@ impl Solver {
             analyze_stack: Vec::new(),
             analyze_toclear: Vec::new(),
             conflict_budget: None,
-            propagation_budget: None,
             deadline: None,
             deadline_check_in: DEADLINE_CHECK_INTERVAL,
             last_stop_cause: None,
@@ -350,11 +345,6 @@ impl Solver {
     /// cumulatively.
     pub fn set_conflict_budget(&mut self, conflicts: Option<u64>) {
         self.conflict_budget = conflicts;
-    }
-
-    /// Limits the next `solve` calls to roughly `props` propagations.
-    pub fn set_propagation_budget(&mut self, props: Option<u64>) {
-        self.propagation_budget = props;
     }
 
     /// Installs (or clears) a wall-clock deadline for the next `solve`
@@ -584,7 +574,6 @@ impl Solver {
             self.max_learnts = (self.clauses.len() as f64 * LEARNT_FRACTION).max(1000.0);
         }
         let conflict_start = self.stats.conflicts;
-        let prop_start = self.stats.propagations;
 
         let mut restart = 1u64;
         let result = loop {
@@ -600,9 +589,9 @@ impl Solver {
                 self.last_stop_cause = Some(StopCause::Deadline);
                 break SolveResult::Unknown;
             }
-            let budget_left = self.budget_left(conflict_start, prop_start);
+            let budget_left = self.budget_left(conflict_start);
             if budget_left == Some(0) {
-                self.last_stop_cause = Some(self.budget_cause(conflict_start));
+                self.last_stop_cause = Some(StopCause::ConflictBudget);
                 break SolveResult::Unknown;
             }
             let limit = self.restart_base * luby(restart);
@@ -667,14 +656,6 @@ impl Solver {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Which budget is exhausted, given that `budget_left` hit zero.
-    fn budget_cause(&self, conflict_start: u64) -> StopCause {
-        match self.conflict_budget {
-            Some(cb) if self.stats.conflicts - conflict_start >= cb => StopCause::ConflictBudget,
-            _ => StopCause::PropagationBudget,
-        }
-    }
-
     /// Precise deadline check for quiescent points; no clock read when no
     /// deadline is installed.
     #[inline]
@@ -698,20 +679,10 @@ impl Solver {
         self.deadline_passed()
     }
 
-    fn budget_left(&self, conflict_start: u64, prop_start: u64) -> Option<u64> {
-        let mut left: Option<u64> = None;
-        if let Some(cb) = self.conflict_budget {
-            left = Some(cb.saturating_sub(self.stats.conflicts - conflict_start));
-        }
-        if let Some(pb) = self.propagation_budget {
-            let pl = if self.stats.propagations - prop_start >= pb {
-                0
-            } else {
-                u64::MAX
-            };
-            left = Some(left.map_or(pl, |c| c.min(pl)));
-        }
-        left
+    /// Conflicts left in this call's budget; `None` when unlimited.
+    fn budget_left(&self, conflict_start: u64) -> Option<u64> {
+        self.conflict_budget
+            .map(|cb| cb.saturating_sub(self.stats.conflicts - conflict_start))
     }
 
     #[inline]
@@ -1548,14 +1519,6 @@ mod tests {
             t0.elapsed() < std::time::Duration::from_secs(5),
             "the coarse check must fire well before the instance is solved"
         );
-    }
-
-    #[test]
-    fn propagation_budget_cause_is_reported() {
-        let mut s = pigeonhole(9);
-        s.set_propagation_budget(Some(1));
-        assert_eq!(s.solve(), SolveResult::Unknown);
-        assert_eq!(s.stop_cause(), Some(StopCause::PropagationBudget));
     }
 
     #[test]

@@ -663,16 +663,17 @@ impl Engine {
         // private solver: the loop rebases per-window λ overrides into its
         // placer, which must not leak back into the shared warm pool. The
         // exact cache still applies (the options hash covers the closure
-        // knobs), and cancellation lands at the next solve's boundary via
-        // the normal queued-cancel path only.
+        // knobs), and a cancel lands at the next conflict boundary of
+        // whichever solve the loop is in.
         if let Some(closure) = request.options.closure() {
             self.counters.cold_builds.fetch_add(1, Ordering::Relaxed);
-            let response = match ams_route::close_placement(
-                &design,
-                config,
-                &closure,
-                ams_route::RouterConfig::default(),
-            ) {
+            let closed = Placer::new(&design, config).and_then(|mut placer| {
+                placer.set_cancel_flag(Some(cancel.clone()));
+                ams_place::closure::close_on(&mut placer, &closure, |d, p, windows| {
+                    ams_route::route_feedback(d, p, windows, ams_route::RouterConfig::default())
+                })
+            });
+            let response = match closed {
                 Ok((placement, _)) => PlaceResponse::success(&design, &placement),
                 Err(e) => PlaceResponse::failure(design.name(), &e),
             };

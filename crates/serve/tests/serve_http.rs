@@ -1,6 +1,7 @@
 //! End-to-end service tests over a loopback HTTP server: parallel job
-//! fan-in, mid-flight cancellation, deadline degradation, exact-cache
-//! determinism, λ_th-only warm re-solves, and malformed designs.
+//! fan-in, mid-flight cancellation of placements and closure loops,
+//! deadline degradation, exact-cache determinism, λ_th-only warm
+//! re-solves, and malformed designs.
 //!
 //! Designs are tiny synthetics and every job runs with explicit
 //! single-thread options, so the suite is deterministic and stays in
@@ -237,6 +238,17 @@ fn lambda_only_change_resolves_warm_with_pin_density_relowered() {
 
 #[test]
 fn cancel_lands_mid_flight() {
+    cancel_a_running_job(false);
+}
+
+#[test]
+fn cancel_lands_mid_flight_in_a_closure_job() {
+    cancel_a_running_job(true);
+}
+
+/// Cancels a running job, a plain placement or a routing-closure loop,
+/// and expects the `cancelled` response.
+fn cancel_a_running_job(close: bool) {
     let server = start_server(1);
     // Full default budgets on the larger design: minutes of solving if
     // left alone, with a deadline backstop so a broken cancel path fails
@@ -247,6 +259,7 @@ fn cancel_lands_mid_flight() {
             design: slow_design(),
             options: JobOptions {
                 deadline_ms: Some(300_000),
+                close,
                 ..JobOptions::default()
             },
             idempotency_key: None,

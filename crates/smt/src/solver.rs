@@ -74,8 +74,6 @@ pub struct Smt {
     blaster: Blaster,
     /// Assertions not yet blasted into the SAT solver.
     pending: Vec<Term>,
-    /// All assertions ever made (for model-debugging and statistics).
-    asserted: Vec<Term>,
     /// Maps assumption literals of the last `solve_with` back to terms.
     assumption_map: HashMap<Lit, Term>,
     failed: Vec<Term>,
@@ -104,7 +102,6 @@ impl std::fmt::Debug for Smt {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Smt")
             .field("terms", &self.pool.len())
-            .field("assertions", &self.asserted.len())
             .field("sat_vars", &self.sat.num_vars())
             .field("sat_clauses", &self.sat.num_clauses())
             .finish()
@@ -138,11 +135,6 @@ impl Smt {
     /// Read-only access to the term pool.
     pub fn pool(&self) -> &TermPool {
         &self.pool
-    }
-
-    /// Number of assertions made so far.
-    pub fn num_assertions(&self) -> usize {
-        self.asserted.len()
     }
 
     /// Underlying SAT statistics.
@@ -396,7 +388,6 @@ impl Smt {
         );
         let retired = self.pool.not(selector);
         self.pending.push(retired);
-        self.asserted.push(retired);
     }
 
     /// Asserts a Boolean term. Takes effect at the next `solve`.
@@ -414,7 +405,6 @@ impl Smt {
             None => t,
         };
         self.pending.push(t);
-        self.asserted.push(t);
     }
 
     /// Asserts the weighted pseudo-Boolean constraint

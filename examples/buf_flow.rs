@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (
             "w/o constraints",
             benchmarks::buf().without_constraints(),
-            cfg.clone().without_ams_constraints(),
+            cfg.clone(),
         ),
     ] {
         println!("=== BUF {label} ===");

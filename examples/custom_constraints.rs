@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== AMS families off (critical constraints only) ===");
     let plain_design = design.without_constraints();
     let plain = Placer::builder(&plain_design)
-        .config(config.without_ams_constraints())
+        .config(config)
         .build()?
         .place()?;
     plain.verify(&plain_design).expect("legal");

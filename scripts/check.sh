@@ -5,46 +5,63 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
+# Each step reports its elapsed seconds when the next one starts, or when
+# the script exits, so a suite that slows down shows up in the log.
+step_name=""
+step_start=$SECONDS
+step_end() {
+    if [ -n "$step_name" ]; then
+        echo "<== $step_name: $((SECONDS - step_start)) s"
+    fi
+}
+step() {
+    step_end
+    step_name=$1
+    step_start=$SECONDS
+    echo "==> $1"
+}
+trap step_end EXIT
+
+step "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (deny warnings)"
+step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (deny warnings, incl. broken intra-doc links)"
+step "cargo doc (deny warnings, incl. broken intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
-echo "==> cargo test"
+step "cargo test"
 cargo test -q --workspace
 
-echo "==> service tests in release (deadlines race a faster solver there)"
+step "service tests in release (deadlines race a faster solver there)"
 cargo test --release -q -p ams-serve --test serve_http
 
-echo "==> benchmark harness (examples/bench, its own workspace)"
+step "benchmark harness (examples/bench, its own workspace)"
 # `cargo test --workspace` never compiles the benchmark, yet it drives the
 # placer's public entry points (lint, presolve, Placer, the service).
 cargo test --release --manifest-path examples/bench/Cargo.toml
 
-echo "==> deterministic counters (benchmark vs scripts/counters.json)"
+step "deterministic counters (benchmark vs scripts/counters.json)"
 # Every count, um and ratio metric of corpus-place and closure-starved
 # must equal the committed baseline. A change that moves them on purpose
 # reruns the script with --update and says why.
 scripts/counters.sh
 
-echo "==> cargo test (parallel portfolio, AMSPLACE_THREADS=4)"
+step "cargo test (parallel portfolio, AMSPLACE_THREADS=4)"
 # Re-runs the placement-facing suites with the portfolio as the default
 # solver path, so the multi-threaded dispatch stays covered by CI.
 AMSPLACE_THREADS=4 cargo test -q -p ams-place -p finfet-ams-place
 
-echo "==> never-panic suite (randomized designs/configs)"
+step "never-panic suite (randomized designs/configs)"
 cargo test -q -p ams-place --test never_panic
 
-echo "==> lowering validator (selector-literal discipline, explicit)"
+step "lowering validator (selector-literal discipline, explicit)"
 # Also runs under debug_assertions inside the placer after every
 # lower/retire/re-lower; this step keeps it an explicit CI contract.
 cargo test -q -p ams-place --test presolve validate_lowering
 
-echo "==> presolve infeasibility fast path (zero-conflict UNSAT, exit 2)"
+step "presolve infeasibility fast path (zero-conflict UNSAT, exit 2)"
 # Without --certify, λ_th = 0 must be rejected by the presolve capacity
 # proof — provenance-cited, before any CDCL conflict accrues.
 set +e
@@ -59,7 +76,7 @@ if [ "$presolve_code" -ne 2 ]; then
 fi
 echo "$presolve_out" | grep -q 'presolve capacity pass'
 
-echo "==> deadline-bounded portfolio smoke run"
+step "deadline-bounded portfolio smoke run"
 # One end-to-end CLI run: portfolio solving under a wall-clock deadline,
 # machine-readable stats out. Exit code 0 covers optimal, anytime, and
 # recovered outcomes alike.
@@ -67,7 +84,7 @@ cargo run -q --bin amsplace -- synthetic --threads 4 --quick \
     --deadline-ms 30000 --stats-json /tmp/amsplace-smoke.json
 grep -q '"outcome"' /tmp/amsplace-smoke.json
 
-echo "==> placement-service smoke (serve, submit over loopback, shutdown)"
+step "placement-service smoke (serve, submit over loopback, shutdown)"
 # One end-to-end service loop: start the server on an ephemeral loopback
 # port, submit a job through the typed client path, assert the response
 # carries the API schema, and shut the server down cleanly.
@@ -95,7 +112,7 @@ target/debug/amsplace shutdown --addr "$serve_addr" >/dev/null
 wait "$serve_pid"
 rm -f "$serve_log"
 
-echo "==> crash-recovery smoke (journaled serve, SIGKILL, --resume)"
+step "crash-recovery smoke (journaled serve, SIGKILL, --resume)"
 # Kill -9 a journaled server after one completed job, restart it on the
 # same journal with --resume, and assert the WAL replays: the recovery
 # banner reports the job as done, and resubmitting with the same
@@ -147,19 +164,19 @@ wait "$resume_pid"
 rm -f "$serve_log" "$resume_log"
 rm -rf "$journal_dir"
 
-echo "==> differential fuzz subset (SMT vs portfolio vs exhaustive reference)"
+step "differential fuzz subset (SMT vs portfolio vs exhaustive reference)"
 # The fast subset of the three-way differential harness; the fifty-design
 # acceptance run is release-mode (CI release step + nightly).
 cargo test -q -p ams-place --test differential
 
-echo "==> routing-closure corpus smoke (25 scenarios vs golden manifest)"
+step "routing-closure corpus smoke (25 scenarios vs golden manifest)"
 # A deterministic 25-scenario slice of the closure corpus: each scenario
 # runs the full place -> route -> tighten loop; the observed pass/fail +
 # drc_clean verdicts must match scripts/corpus_smoke_manifest.json. The
 # full 1000+-scenario sweep runs nightly (scripts/corpus.sh full).
 scripts/corpus.sh smoke
 
-echo "==> certified infeasibility smoke (proof-checked UNSAT, exit 2)"
+step "certified infeasibility smoke (proof-checked UNSAT, exit 2)"
 # λ_th = 0 is unsatisfiable by construction; --certify must turn that into
 # a DRAT certificate the in-repo checker validates before exiting 2.
 set +e

@@ -43,7 +43,8 @@ options:
   --svg <file>        render the placed layout as SVG
   --stats-json <file> write run statistics (outcome, workers, ...) as JSON
   --route             also route and report RWL / vias / overflow
-  --no-ams            drop the AMS constraint families (w/o-Cstr. arm)
+  --no-ams            strip the symmetry, array, cluster and extension
+                      constraints from the design (the w/o-Cstr. arm)
   --iters <n>         optimization iterations (default 2)
   --budget <n>        conflict budget per optimization round (default 100000)
   --threads <n>       parallel portfolio workers (default: AMSPLACE_THREADS
@@ -65,6 +66,8 @@ options:
   --quick             small budgets for a fast smoke run
 
 close/route options:
+  --close             run the routing-closure loop, as `amsplace close`
+                      does; with submit, the server runs it
   --max-iters <n>     routing-closure iteration budget (default 5); each
                       iteration routes the placement, maps window overflow
                       back to the pin-density constraints it came from,
@@ -114,8 +117,8 @@ the proof's provenance when it derives infeasibility.
 
 #[derive(PartialEq)]
 enum Command {
+    /// Place, or with `--close` run the closure loop.
     Place,
-    Close,
     Route,
     Lint,
     Serve,
@@ -200,7 +203,6 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match a.as_str() {
             "close" if first_positional => {
-                args.command = Command::Close;
                 args.close = true;
                 first_positional = false;
             }
@@ -355,10 +357,7 @@ fn parse_args() -> Result<Args, String> {
     // The subcommands that solve here take an unset --threads or
     // --deadline-ms from the environment; submit sends only the flags it
     // was given, and the server reads no environment.
-    if matches!(
-        args.command,
-        Command::Place | Command::Close | Command::Route
-    ) {
+    if matches!(args.command, Command::Place | Command::Route) {
         let (threads, deadline_ms) = solver_env();
         args.threads = args.threads.or(threads);
         args.deadline_ms = args.deadline_ms.or(deadline_ms);
@@ -505,8 +504,9 @@ fn place_exit_code(e: &PlaceError) -> ExitCode {
     ExitCode::from(ErrorKind::of(e).exit_code())
 }
 
-/// The `amsplace close` subcommand: run the place → route → tighten loop
-/// until the routing is overflow-free or the iteration budget expires.
+/// `amsplace close` and `amsplace <design> --close`: run the place → route
+/// → tighten loop until the routing is overflow-free or the iteration
+/// budget expires.
 fn run_close(args: &Args) -> ExitCode {
     let (design, config) = match local_job(args) {
         Ok(job) => job,
@@ -838,7 +838,6 @@ fn main() -> ExitCode {
     };
 
     match args.command {
-        Command::Close => return run_close(&args),
         Command::Route => return run_route(&args),
         Command::Lint => return run_lint(&args),
         Command::Serve => return run_serve(&args),
@@ -864,6 +863,9 @@ fn main() -> ExitCode {
             design.regions().len()
         );
         return ExitCode::SUCCESS;
+    }
+    if args.close {
+        return run_close(&args);
     }
 
     let (design, config) = match local_job(&args) {

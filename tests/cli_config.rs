@@ -1,9 +1,9 @@
 //! Every `amsplace` subcommand that solves builds its configuration the
 //! way the server does, from `JobOptions::to_config`: `--threads` and
 //! `--deadline-ms` reach `close` and `route` as they reach a plain
-//! placement, the environment fills only what the flags left unset, and
-//! `lint` judges the instance the solve sees. A served job reads no
-//! environment at all.
+//! placement, `--close` runs the closure loop as `close` does, the
+//! environment fills only what the flags left unset, and `lint` judges
+//! the instance the solve sees. A served job reads no environment at all.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -53,6 +53,17 @@ fn close_solves_on_the_threads_it_was_given() {
         "close_threads",
     );
     assert_eq!(threads(&doc), 2);
+}
+
+#[test]
+fn the_close_flag_runs_the_closure_loop_locally() {
+    // `amsplace <design> --close` is `amsplace close <design>`.
+    let doc = stats_of(amsplace(&["synthetic", "--quick", "--close"]), "close_flag");
+    let ran = doc
+        .field("closure")
+        .and_then(|c| c.field("ran"))
+        .and_then(Json::as_bool);
+    assert_eq!(ran, Some(true));
 }
 
 #[test]

@@ -49,7 +49,7 @@ fn table3_and_table4_shapes_buf() {
     w.verify(&w_design).expect("legal w/");
 
     let wo_design = benchmarks::buf().without_constraints();
-    let wo = Placer::new(&wo_design, quick_cfg().without_ams_constraints())
+    let wo = Placer::new(&wo_design, quick_cfg())
         .expect("encode")
         .place()
         .expect("place w/o");
