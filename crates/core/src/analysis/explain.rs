@@ -15,6 +15,7 @@
 
 use crate::config::PlacerConfig;
 use crate::encode;
+use crate::encode::pin_density::{self, LazyWindows};
 use crate::encode::region::{region_bounds, region_margins};
 use crate::ir::{conflict_families, ConstraintFamily};
 use crate::power::PowerPlan;
@@ -59,11 +60,30 @@ pub fn explain_unsat(design: &Design, config: &PlacerConfig) -> UnsatOutcome {
     let mut smt = Smt::new();
     let vars = VarMap::create(&mut smt, design, &scale, &plan, None);
     let encoding = encode::encode_design(&mut smt, design, &scale, &plan, &vars, config);
-    let lowering = encoding.store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+    let check = encoding.pd_check.as_ref();
+    let mut windows = pin_density::seed_windows(&encoding.store, check);
+    let lowering = encoding
+        .store
+        .lower(&mut smt, 0, &ConstraintFamily::ALL, &windows);
 
-    smt.set_conflict_budget(config.optimize.first_conflict_budget);
+    // The placer's refinement loop: pin-density windows are lowered as
+    // models break them, so an UNSAT verdict comes from the same lazily
+    // lowered encoding a placement attempt would prove it on.
+    let lazy = LazyWindows {
+        design,
+        scale: &scale,
+        vars: &vars,
+        store: &encoding.store,
+        check,
+        selector: lowering
+            .selectors
+            .iter()
+            .find(|&&(fam, _)| fam == ConstraintFamily::PinDensity)
+            .map(|&(_, sel)| sel),
+    };
     let assumptions: Vec<Term> = lowering.selectors.iter().map(|&(_, s)| s).collect();
-    match smt.solve_with(&assumptions) {
+    let budget = config.optimize.first_conflict_budget;
+    match pin_density::solve_refined(&mut smt, &lazy, &mut windows, &assumptions, budget).result {
         SmtResult::Sat => UnsatOutcome::Feasible,
         SmtResult::Unknown | SmtResult::Cancelled => UnsatOutcome::Unknown,
         SmtResult::Unsat => UnsatOutcome::Conflict(conflict_families(

@@ -83,6 +83,7 @@ mod tests {
     use super::*;
     use crate::ir::Provenance;
     use ams_smt::Smt;
+    use std::collections::BTreeSet;
 
     fn store_with(families: &[ConstraintFamily]) -> (Smt, ConstraintStore) {
         let mut smt = Smt::new();
@@ -99,14 +100,14 @@ mod tests {
     fn a_clean_lowering_validates() {
         let (mut smt, store) =
             store_with(&[ConstraintFamily::CoreGeometry, ConstraintFamily::Symmetry]);
-        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL, &BTreeSet::new());
         assert_eq!(validate_lowering(&store, &lowering.selectors, &[]), Ok(()));
     }
 
     #[test]
     fn missing_and_orphan_selectors_are_flagged() {
         let (mut smt, store) = store_with(&[ConstraintFamily::CoreGeometry]);
-        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL, &BTreeSet::new());
 
         // Records but no live selector.
         let err = validate_lowering(&store, &[], &[]).expect_err("unguarded records");
@@ -123,7 +124,7 @@ mod tests {
     #[test]
     fn retired_selectors_must_leave_the_live_set() {
         let (mut smt, store) = store_with(&[ConstraintFamily::PinDensity]);
-        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL, &BTreeSet::new());
         let sel = lowering.selectors[0].1;
         let err =
             validate_lowering(&store, &lowering.selectors, &[sel]).expect_err("retired yet live");
@@ -134,7 +135,7 @@ mod tests {
     fn duplicate_guards_are_flagged() {
         let (mut smt, store) =
             store_with(&[ConstraintFamily::CoreGeometry, ConstraintFamily::Symmetry]);
-        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL, &BTreeSet::new());
         let shared = lowering.selectors[0].1;
         let sels = vec![
             (ConstraintFamily::CoreGeometry, shared),
@@ -151,7 +152,7 @@ mod tests {
         store.family(ConstraintFamily::PinDensity);
         store.at(Provenance::Window { x: 0, y: 0 });
         store.assert_at_most(Vec::new(), 3);
-        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL, &BTreeSet::new());
         let err = validate_lowering(&store, &lowering.selectors, &[]).expect_err("empty sum");
         assert!(err.contains("zero items"), "{err}");
     }

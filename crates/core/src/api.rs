@@ -29,8 +29,9 @@ use std::time::Duration;
 /// closure (the constant-shape `closure` object in the stats document,
 /// `close`/`close_iters` job options); 4 = the `clauses_saved` key of the
 /// stats `presolve` object removed, with the shadow unpruned encode that
-/// measured it.
-pub const SCHEMA_VERSION: u64 = 4;
+/// measured it; 5 = lazy pin-density windows (the `active_windows` and
+/// `window_resolves` stats keys) and the optional `aspect` job option.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Lifecycle state of a placement job.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -274,6 +275,10 @@ pub struct JobOptions {
     /// Closure iteration budget when `close` is set (`--max-iters`);
     /// `None` takes [`crate::ClosureConfig`]'s default.
     pub close_iters: Option<u64>,
+    /// Die aspect ratio (width / height); `None` keeps the preset's. The
+    /// CLI sets it from a `scenario:<i>` design spec, whose sweep point
+    /// fixes the die aspect ([`crate::scenario::Scenario::config`]).
+    pub aspect: Option<f64>,
 }
 
 impl Default for JobOptions {
@@ -291,6 +296,7 @@ impl Default for JobOptions {
             presolve: true,
             close: false,
             close_iters: None,
+            aspect: None,
         }
     }
 }
@@ -328,6 +334,9 @@ impl JobOptions {
             config.solver.threads = threads;
         }
         config.solver.deadline = self.deadline_ms.map(Duration::from_millis);
+        if let Some(aspect) = self.aspect {
+            config.aspect_ratio = aspect;
+        }
         config
     }
 
@@ -345,10 +354,12 @@ impl JobOptions {
 
     /// Serializes to the wire shape. Every field is present (unset
     /// optionals are `null`), so the document doubles as the canonical
-    /// input to [`options_hash`].
+    /// input to [`options_hash`] — except `aspect`, which appears only
+    /// when set, so options without it serialize and hash as they did
+    /// before the field existed.
     pub fn to_json(&self) -> Json {
         let opt_uint = |v: Option<u64>| v.map_or(Json::Null, Json::uint);
-        Json::obj([
+        let mut doc = Json::obj([
             ("quick", Json::Bool(self.quick)),
             ("iters", Json::uint(self.iters as u64)),
             ("budget", Json::uint(self.budget)),
@@ -361,7 +372,11 @@ impl JobOptions {
             ("presolve", Json::Bool(self.presolve)),
             ("close", Json::Bool(self.close)),
             ("close_iters", opt_uint(self.close_iters)),
-        ])
+        ]);
+        if let (Json::Obj(fields), Some(aspect)) = (&mut doc, self.aspect) {
+            fields.insert("aspect".into(), Json::Num(aspect));
+        }
+        doc
     }
 
     /// Parses the wire shape; absent fields take their defaults, so a
@@ -400,6 +415,14 @@ impl JobOptions {
             presolve: get_bool("presolve", d.presolve)?,
             close: get_bool("close", d.close)?,
             close_iters: get_uint("close_iters")?,
+            aspect: match doc.field("aspect") {
+                None | Some(Json::Null) => None,
+                Some(v) => Some(
+                    v.as_f64()
+                        .filter(|a| a.is_finite() && *a > 0.0)
+                        .ok_or("options.aspect must be a positive number")?,
+                ),
+            },
         })
     }
 }
@@ -712,6 +735,16 @@ pub fn stats_to_json(design: &Design, placement: &Placement) -> Json {
             Json::Arr(s.hpwl_trace.iter().map(|&v| Json::uint(v)).collect()),
         ),
         (
+            "active_windows",
+            Json::Arr(
+                s.active_windows
+                    .iter()
+                    .map(|&n| Json::uint(n as u64))
+                    .collect(),
+            ),
+        ),
+        ("window_resolves", Json::uint(s.window_resolves)),
+        (
             "die",
             Json::obj([
                 ("w", Json::uint(u64::from(placement.die.w))),
@@ -872,6 +905,7 @@ mod tests {
             presolve: false,
             close: true,
             close_iters: Some(3),
+            aspect: Some(2.0),
         };
         let back = JobOptions::from_json(&opts.to_json()).expect("roundtrip");
         assert_eq!(back, opts);
@@ -880,6 +914,23 @@ mod tests {
         let closure = back.closure().expect("close requested");
         assert_eq!(closure.max_iters, 3);
         assert_eq!(JobOptions::default().closure(), None);
+        assert_eq!(back.to_config().aspect_ratio, 2.0);
+    }
+
+    #[test]
+    fn options_without_an_aspect_serialize_as_before_it_existed() {
+        // Requests and journal records written without the field parse,
+        // and options that leave it unset hash as they always did.
+        let doc = JobOptions::default().to_json();
+        assert!(doc.field("aspect").is_none());
+        assert_eq!(
+            JobOptions::from_json(&doc).expect("parses"),
+            JobOptions::default()
+        );
+        for bad in [Json::Num(0.0), Json::Num(-1.0), Json::str("wide")] {
+            let doc = Json::obj([("aspect", bad)]);
+            assert!(JobOptions::from_json(&doc).is_err());
+        }
     }
 
     #[test]

@@ -8,15 +8,18 @@
 //! deciding legality with the independent [`Placement::verify`] oracle
 //! rather than any clause encoding. The shared pieces are deliberately
 //! limited to *search-space derivation* ([`ScaleInfo`], the candidate
-//! enumeration); every *constraint decision* comes from the oracle, so an
-//! encoder bug and a reference bug would have to coincide to slip through.
+//! enumeration) and the pin-density window grid and bounds the placer
+//! checks its placements against; every *constraint decision* comes from
+//! the oracle, so an encoder bug and a reference bug would have to
+//! coincide to slip through.
 //!
 //! Only viable for mini-designs (a handful of cells, single-digit scaled
 //! dies): the search is exponential by design, and [`BruteLimits`] caps it.
 
 use crate::config::PlacerConfig;
+use crate::encode::pin_density::check_for;
 use crate::encode::region::{dimension_candidates, region_margins};
-use crate::placement::{placement_from_rects, Placement};
+use crate::placement::{placement_from_rects, PinDensityCheck, Placement};
 use crate::scale::ScaleInfo;
 use ams_netlist::{CellId, Design, Rect, RegionId};
 
@@ -31,9 +34,9 @@ pub enum ReferenceVerdict {
     Infeasible,
     /// The search space exceeds the limits; no verdict.
     TooLarge,
-    /// The design/config uses a constraint family the reference does not
-    /// model (pin density, extensions, arrays, multi-rail power); a
-    /// comparison against the SMT placer would not be apples-to-apples.
+    /// The design uses a constraint family the reference does not model
+    /// (extensions, arrays, multi-rail power); a comparison against the
+    /// SMT placer would not be apples-to-apples.
     Unsupported(&'static str),
 }
 
@@ -62,9 +65,6 @@ pub fn reference_place(
     config: &PlacerConfig,
     limits: &BruteLimits,
 ) -> ReferenceVerdict {
-    if config.pin_density.is_some() {
-        return ReferenceVerdict::Unsupported("pin density");
-    }
     if !design.constraints().extensions.is_empty() {
         return ReferenceVerdict::Unsupported("extension margins");
     }
@@ -80,6 +80,10 @@ pub fn reference_place(
         design,
         config,
         scale: &scale,
+        pin_density: config
+            .pin_density
+            .as_ref()
+            .map(|pd| check_for(design, &scale, pd)),
         limits,
         region_rects: vec![Rect::new(0, 0, 0, 0); design.regions().len()],
         cell_rects: vec![Rect::new(0, 0, 0, 0); design.cells().len()],
@@ -100,6 +104,9 @@ struct Search<'a> {
     design: &'a Design,
     config: &'a PlacerConfig,
     scale: &'a ScaleInfo,
+    /// The windows a placement is verified against, built as the placer
+    /// builds them.
+    pin_density: Option<PinDensityCheck>,
     limits: &'a BruteLimits,
     region_rects: Vec<Rect>,
     cell_rects: Vec<Rect>,
@@ -239,7 +246,8 @@ impl Search<'_> {
             .map(|r| Rect::new(r.x * uw, r.y * uh, r.w * uw, r.h * uh))
             .collect();
         let die = Rect::new(0, 0, self.scale.scaled_w * uw, self.scale.scaled_h * uh);
-        let placement = placement_from_rects(cells, regions, die, self.scale);
+        let mut placement = placement_from_rects(cells, regions, die, self.scale);
+        placement.pin_density = self.pin_density.clone();
         if placement.verify(self.design).is_ok() {
             return Some(placement);
         }
@@ -305,13 +313,39 @@ mod tests {
 
     #[test]
     fn unsupported_families_are_flagged() {
-        let design = mini(3);
-        let mut cfg = config();
-        cfg.pin_density = Some(crate::config::PinDensityConfig::default());
+        let mut b = ams_netlist::DesignBuilder::new("two_rails");
+        let r = b.add_region("r", 0.5);
+        let vdd = b.add_power_group("VDD");
+        let vddl = b.add_power_group("VDDL");
+        b.add_cell("a", r, 2, 2, vdd);
+        b.add_cell("b", r, 2, 2, vddl);
+        let design = b.build().expect("valid");
         assert!(matches!(
-            reference_place(&design, &cfg, &BruteLimits::default()),
-            ReferenceVerdict::Unsupported(_)
+            reference_place(&design, &config(), &BruteLimits::default()),
+            ReferenceVerdict::Unsupported("multi-rail power abutment")
         ));
+    }
+
+    #[test]
+    fn pin_density_windows_decide_legality() {
+        let design = mini(1);
+        let density = |lambda| {
+            let mut cfg = config();
+            cfg.pin_density = Some(crate::config::PinDensityConfig {
+                lambda: Some(lambda),
+                ..crate::config::PinDensityConfig::default()
+            });
+            reference_place(&design, &cfg, &BruteLimits::default())
+        };
+        // No window may hold a pin, yet every cell with a pin lies in one.
+        assert!(matches!(density(0), ReferenceVerdict::Infeasible));
+        match density(1_000) {
+            ReferenceVerdict::Feasible(p) => {
+                assert!(p.pin_density.is_some(), "the windows were checked");
+                assert!(p.verify(&design).is_ok());
+            }
+            other => panic!("expected feasible, got {other:?}"),
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! origin (`Provenance::Window{x, y}`), which is exactly the key
 //! [`crate::PinDensityConfig::lambda_overrides`] uses. The tightened
 //! configuration is re-solved incrementally through [`Placer::rebase`]:
-//! the pin-density family's selectors are retired, the per-window bounds
-//! re-lowered behind a fresh guard generation, and every learnt clause
-//! that does not depend on a retired selector survives on the live solver.
+//! the pin-density family's selector is retired, the bounds of the active
+//! windows (the tightened ones now among them) re-lowered behind a fresh
+//! guard generation, and every learnt clause that does not depend on a
+//! retired selector survives on the live solver.
 //! The loop ends when the router reports zero overflow (`drc_clean`) or
 //! the iteration budget expires.
 //!
@@ -123,7 +124,7 @@ pub struct ProbeWindows {
 /// `window_origins` walk yields the same origins the constraints carry.
 /// Empty when the placement was produced without pin-density constraints.
 pub fn probe_windows(placement: &Placement) -> ProbeWindows {
-    let Some(pd) = placement.pin_density else {
+    let Some(pd) = &placement.pin_density else {
         return ProbeWindows::default();
     };
     let (uw, uh) = placement.units;
@@ -248,13 +249,10 @@ where
 
         // Tighten exactly the provenance-identified hot windows.
         let mut tightened = false;
-        if let (Some(pd_check), Some(pd)) = (placement.pin_density, config.pin_density.as_mut()) {
+        if let (Some(pd_check), Some(pd)) = (&placement.pin_density, config.pin_density.as_mut()) {
             for &i in &hot {
                 let (sx, sy) = probe.origins[i];
-                let current = pd
-                    .override_for(sx, sy)
-                    .unwrap_or(pd_check.lambda)
-                    .min(pd_check.lambda);
+                let current = pd_check.bound(sx, sy);
                 if current <= opts.min_lambda {
                     continue;
                 }

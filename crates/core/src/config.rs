@@ -41,14 +41,6 @@ impl Default for PinDensityConfig {
 }
 
 impl PinDensityConfig {
-    /// The override for the window at scaled origin `(x, y)`, if any.
-    pub fn override_for(&self, x: u32, y: u32) -> Option<u64> {
-        self.lambda_overrides
-            .binary_search_by_key(&(x, y), |&(k, _)| k)
-            .ok()
-            .map(|i| self.lambda_overrides[i].1)
-    }
-
     /// Installs (or tightens) the override for the window at scaled origin
     /// `(x, y)`, keeping the override list sorted. Returns `true` when the
     /// stored bound actually decreased.

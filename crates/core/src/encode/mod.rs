@@ -13,6 +13,7 @@ pub(crate) mod wirelength;
 
 use crate::config::PlacerConfig;
 use crate::ir::ConstraintStore;
+use crate::placement::PinDensityCheck;
 use crate::power::PowerPlan;
 use crate::scale::ScaleInfo;
 use crate::vars::VarMap;
@@ -30,8 +31,9 @@ use ams_smt::{Smt, Term};
 pub(crate) struct Encoding {
     /// The emitted constraint records.
     pub store: ConstraintStore,
-    /// Effective pin-density parameters, when that family is configured.
-    pub pd_info: Option<pin_density::PinDensityInfo>,
+    /// The pin-density window grid and bounds, when that family is
+    /// configured.
+    pub pd_check: Option<PinDensityCheck>,
     /// The weighted-wirelength expression Φ.
     pub phi: Term,
     /// Bit width of Φ.
@@ -57,14 +59,15 @@ pub(crate) fn encode_design(
     symmetry::assert_symmetry(smt, &mut store, design, scale, vars);
     array::assert_arrays(smt, &mut store, design, scale, vars, config);
     power_abut::assert_power_abutment(smt, &mut store, design, scale, vars, plan);
-    let pd_info = config
-        .pin_density
-        .as_ref()
-        .map(|pd| pin_density::assert_pin_density(smt, &mut store, design, scale, vars, pd));
+    let pd_check = config.pin_density.as_ref().map(|pd| {
+        let check = pin_density::check_for(design, scale, pd);
+        pin_density::assert_pin_density(smt, &mut store, design, scale, vars, &check);
+        check
+    });
     let (phi, phi_w) = wirelength::assert_wirelength(smt, &mut store, design, scale, vars);
     Encoding {
         store,
-        pd_info,
+        pd_check,
         phi,
         phi_w,
     }

@@ -6,26 +6,24 @@
 //! Lowering gives each condition a one-directional indicator
 //! `overlap → b_{i,j}` ([`crate::ir`]), so over-approximation is
 //! conservative: every model satisfies the true density bound.
+//!
+//! Windows are lowered lazily. A model solved without a window's record
+//! rarely breaks it, so the records of an *active set* of windows are
+//! lowered and the rest stay in the store: [`solve_refined`] checks every
+//! model with the one window checker ([`window_loads`]), lowers the
+//! windows it breaks under the family's live selector, and solves again.
+//! The lowered CNF is always a subset of the full one, so an UNSAT verdict
+//! (and its DRAT certificate) holds for the full encoding too.
 
 use crate::config::PinDensityConfig;
-use crate::ir::{ConstraintFamily, ConstraintStore, Provenance};
+use crate::ir::{ConstraintFamily, ConstraintStore, Payload, Provenance};
+use crate::placement::PinDensityCheck;
 use crate::scale::ScaleInfo;
 use crate::vars::VarMap;
-use ams_netlist::Design;
-use ams_smt::{Smt, Term};
-
-/// Effective pin-density parameters after threshold resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PinDensityInfo {
-    /// Scaled window width `β_x`.
-    pub beta_x: u32,
-    /// Scaled window height `β_y`.
-    pub beta_y: u32,
-    /// Resolved pin-count threshold `λ_th`.
-    pub lambda: u64,
-    /// Number of windows encoded.
-    pub windows: usize,
-}
+use ams_netlist::{Design, Rect};
+use ams_smt::{Smt, SmtResult, Term};
+use std::collections::BTreeSet;
+use std::time::Duration;
 
 /// The margin an unset `λ_th` keeps over the reference packing's densest
 /// window.
@@ -109,30 +107,53 @@ fn reference_window_load(design: &Design, scale: &ScaleInfo, beta_x: u32, beta_y
     worst
 }
 
-/// Encodes all windows; returns the effective parameters.
+/// The window grid and bounds a configuration gives the scaled design:
+/// the resolved `λ_th`, the window clamped to the die, and the closure
+/// overrides clamped to `λ_th`, so a per-window bound never exceeds the
+/// global one. The placer encodes against it and the brute-force
+/// reference verifies against it.
+pub(crate) fn check_for(
+    design: &Design,
+    scale: &ScaleInfo,
+    cfg: &PinDensityConfig,
+) -> PinDensityCheck {
+    let lambda = resolve_lambda(design, scale, cfg);
+    PinDensityCheck {
+        beta_x: cfg.beta_x.min(scale.scaled_w),
+        beta_y: cfg.beta_y.min(scale.scaled_h),
+        lambda,
+        stride_x: cfg.stride_x,
+        stride_y: cfg.stride_y,
+        overrides: cfg
+            .lambda_overrides
+            .iter()
+            .map(|&(origin, l)| (origin, l.min(lambda)))
+            .collect(),
+    }
+}
+
+/// Emits one at-most record per window of `check`, at the window's own
+/// bound.
 pub(crate) fn assert_pin_density(
     smt: &mut Smt,
     store: &mut ConstraintStore,
     design: &Design,
     scale: &ScaleInfo,
     vars: &VarMap,
-    cfg: &PinDensityConfig,
-) -> PinDensityInfo {
+    check: &PinDensityCheck,
+) {
     store.family(ConstraintFamily::PinDensity);
-    let lambda = resolve_lambda(design, scale, cfg);
-    let beta_x = cfg.beta_x.min(scale.scaled_w);
-    let beta_y = cfg.beta_y.min(scale.scaled_h);
+    let (beta_x, beta_y) = (check.beta_x, check.beta_y);
 
     // Window origins: stride-stepped, always including the last position.
-    let xs = window_origins(scale.scaled_w, beta_x, cfg.stride_x);
-    let ys = window_origins(scale.scaled_h, beta_y, cfg.stride_y);
+    let xs = window_origins(scale.scaled_w, beta_x, check.stride_x);
+    let ys = window_origins(scale.scaled_h, beta_y, check.stride_y);
 
     let pinful: Vec<_> = design
         .cell_ids()
         .filter(|&c| design.pin_count(c) > 0)
         .collect();
 
-    let mut windows = 0usize;
     for &ym in &ys {
         for &xm in &xs {
             let items: Vec<(Term, u64)> = pinful
@@ -144,10 +165,7 @@ pub(crate) fn assert_pin_density(
                 })
                 .collect();
             let total: u64 = items.iter().map(|&(_, w)| w).sum();
-            // A routing-closure override tightens this one window below the
-            // global threshold; clamping to `lambda` keeps the per-window
-            // bound sound w.r.t. the global legality check.
-            let bound = cfg.override_for(xm, ym).map_or(lambda, |l| l.min(lambda));
+            let bound = check.bound(xm, ym);
             // A window whose items all hold unconditionally and fit lowers
             // to nothing, so it emits no record.
             let conditional = items.iter().any(|&(t, _)| smt.pool().as_const(t).is_none());
@@ -155,15 +173,176 @@ pub(crate) fn assert_pin_density(
                 store.at(Provenance::Window { x: xm, y: ym });
                 store.assert_at_most(items, bound);
             }
-            windows += 1;
         }
     }
-    PinDensityInfo {
-        beta_x,
-        beta_y,
-        lambda,
-        windows,
+}
+
+/// The pin load of every check window of `check` over a die of `die`
+/// scaled units, row by row over [`window_origins`]: the pins of the cells
+/// whose rectangle (`cells`, indexed by cell id) overlaps the window. The
+/// rectangles are in grid units of `units` per scaled unit, so the placer
+/// passes scaled rectangles with units `(1, 1)` and
+/// [`crate::Placement::verify`] its grid rectangles with the placement's
+/// units; both see the same loads. Windows are keyed by scaled origin.
+pub(crate) fn window_loads(
+    design: &Design,
+    check: &PinDensityCheck,
+    die: (u32, u32),
+    (uw, uh): (u32, u32),
+    cells: &[Rect],
+) -> Vec<((u32, u32), u64)> {
+    if die.0 < check.beta_x || die.1 < check.beta_y {
+        return Vec::new();
     }
+    let pinful: Vec<(Rect, u64)> = design
+        .cell_ids()
+        .map(|c| (cells[c.index()], design.pin_count(c) as u64))
+        .filter(|&(_, pins)| pins > 0)
+        .collect();
+    let xs = window_origins(die.0, check.beta_x, check.stride_x);
+    let ys = window_origins(die.1, check.beta_y, check.stride_y);
+    let mut loads = Vec::with_capacity(xs.len() * ys.len());
+    for &y in &ys {
+        for &x in &xs {
+            let window = Rect::new(x * uw, y * uh, check.beta_x * uw, check.beta_y * uh);
+            let pins = pinful
+                .iter()
+                .filter(|&&(r, _)| r.overlaps(window))
+                .map(|&(_, p)| p)
+                .sum();
+            loads.push(((x, y), pins));
+        }
+    }
+    loads
+}
+
+/// The windows lowered before the first solve: those a closure override
+/// tightened, and those whose bound one cell's pins exceed on their own.
+/// The second kind are exclusion zones for that cell (λ_th below a cell's
+/// pin count). Lowered together they refute such an instance one cell at
+/// a time; discovered a few at a time, they would turn that into a
+/// packing proof over the windows still open.
+pub(crate) fn seed_windows(
+    store: &ConstraintStore,
+    check: Option<&PinDensityCheck>,
+) -> BTreeSet<(u32, u32)> {
+    let Some(check) = check else {
+        return BTreeSet::new();
+    };
+    store
+        .records()
+        .iter()
+        .filter_map(|c| match (c.provenance, &c.payload) {
+            (Provenance::Window { x, y }, Payload::AtMost { items, bound })
+                if c.family == ConstraintFamily::PinDensity =>
+            {
+                let seeded = *bound < check.lambda || items.iter().any(|&(_, w)| w > *bound);
+                seeded.then_some((x, y))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// What [`solve_refined`] reads a model against and lowers from.
+pub(crate) struct LazyWindows<'a> {
+    pub design: &'a Design,
+    pub scale: &'a ScaleInfo,
+    pub vars: &'a VarMap,
+    pub store: &'a ConstraintStore,
+    /// The window grid and bounds; `None` when pin density is off.
+    pub check: Option<&'a PinDensityCheck>,
+    /// The pin-density family's live selector; `None` when it has no
+    /// records.
+    pub selector: Option<Term>,
+}
+
+/// The verdict of [`solve_refined`] and what its refinement cost.
+pub(crate) struct Refined {
+    /// The verdict of the last solve. `Sat` only for a model that breaks
+    /// no window.
+    pub result: SmtResult,
+    /// Solves re-run because a model broke a window.
+    pub resolves: u64,
+    /// Clauses the lowered windows added.
+    pub clauses: usize,
+    /// Time spent lowering them.
+    pub elapsed: Duration,
+}
+
+/// Solves under `assumptions` with lazy windows. After every model, the
+/// window checker scans every window; the ones the model breaks join
+/// `active`, their records are lowered under the family's live selector,
+/// and the solve re-runs on what is left of `budget` (conflicts, counted
+/// from the first solve). The active set only grows, so the loop ends: on
+/// the first model that breaks no window, or on any other verdict.
+pub(crate) fn solve_refined(
+    smt: &mut Smt,
+    lazy: &LazyWindows<'_>,
+    active: &mut BTreeSet<(u32, u32)>,
+    assumptions: &[Term],
+    budget: Option<u64>,
+) -> Refined {
+    let start = smt.sat_stats().conflicts;
+    let mut refined = Refined {
+        result: SmtResult::Unknown,
+        resolves: 0,
+        clauses: 0,
+        elapsed: Duration::ZERO,
+    };
+    loop {
+        let spent = smt.sat_stats().conflicts.saturating_sub(start);
+        smt.set_conflict_budget(budget.map(|b| b.saturating_sub(spent)));
+        refined.result = smt.solve_with(assumptions);
+        let (SmtResult::Sat, Some(check), Some(selector)) =
+            (refined.result, lazy.check, lazy.selector)
+        else {
+            return refined;
+        };
+        let broken = broken_windows(smt, lazy, check);
+        let fresh: Vec<(u32, u32)> = broken
+            .iter()
+            .copied()
+            .filter(|origin| !active.contains(origin))
+            .collect();
+        if fresh.is_empty() {
+            // Every broken window was lowered already: the encoding of an
+            // active window let a model through.
+            debug_assert!(
+                broken.is_empty(),
+                "an accepted model breaks lowered windows {broken:?}"
+            );
+            return refined;
+        }
+        let (clauses, elapsed) = lazy.store.lower_windows(smt, selector, &fresh);
+        refined.clauses += clauses;
+        refined.elapsed += elapsed;
+        active.extend(fresh);
+        refined.resolves += 1;
+    }
+}
+
+/// The windows the current model breaks, each judged against its own
+/// bound.
+fn broken_windows(smt: &Smt, lazy: &LazyWindows<'_>, check: &PinDensityCheck) -> Vec<(u32, u32)> {
+    let cells: Vec<Rect> = lazy
+        .design
+        .cell_ids()
+        .map(|c| {
+            Rect::new(
+                smt.bv_value(lazy.vars.cell_x[c.index()]) as u32,
+                smt.bv_value(lazy.vars.cell_y[c.index()]) as u32,
+                lazy.scale.width_of(c),
+                lazy.scale.height_of(c),
+            )
+        })
+        .collect();
+    let die = (lazy.scale.scaled_w, lazy.scale.scaled_h);
+    window_loads(lazy.design, check, die, (1, 1), &cells)
+        .into_iter()
+        .filter(|&((x, y), pins)| pins > check.bound(x, y))
+        .map(|(origin, _)| origin)
+        .collect()
 }
 
 /// Window origins covering `0..=extent-beta` at the given stride, with the

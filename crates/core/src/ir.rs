@@ -25,6 +25,7 @@
 
 use ams_netlist::{CellId, NetId, RegionId};
 use ams_smt::{Smt, Term};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -152,15 +153,29 @@ pub(crate) struct Constraint {
     pub payload: Payload,
 }
 
+impl Constraint {
+    /// The origin of the pin-density window this record bounds, if any:
+    /// the unit of lazy lowering.
+    fn window(&self) -> Option<(u32, u32)> {
+        match self.provenance {
+            Provenance::Window { x, y } if self.family == ConstraintFamily::PinDensity => {
+                Some((x, y))
+            }
+            _ => None,
+        }
+    }
+}
+
 /// Per-family lowering statistics, reported in
 /// [`crate::PlaceStats::families`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FamilyStats {
     /// The family.
     pub family: ConstraintFamily,
-    /// IR constraint records emitted for the family.
+    /// IR constraint records emitted for the family, lowered or not.
     pub constraints: usize,
-    /// SAT clauses the family's records blasted into. Shared subterms are
+    /// SAT clauses the family's lowered records blasted into, pin-density
+    /// windows lowered after a solve included. Shared subterms are
     /// blasted once and attributed to the first family that uses them.
     pub clauses: usize,
 }
@@ -244,8 +259,17 @@ impl ConstraintStore {
     /// `sel_<family>_g<generation>` guard selector per family present.
     /// Records are installed under it via [`Smt::set_guard`] in emission
     /// order, then bit-blasted ([`Smt::flush`]) so the per-family clause
-    /// delta can be measured.
-    pub fn lower(&self, smt: &mut Smt, generation: u32, families: &[ConstraintFamily]) -> Lowering {
+    /// delta can be measured. A record sited at a pin-density window is
+    /// lowered only when `windows` holds the window's origin; the others
+    /// wait in the store for [`ConstraintStore::lower_windows`], and the
+    /// family's selector and record count cover them all the same.
+    pub fn lower(
+        &self,
+        smt: &mut Smt,
+        generation: u32,
+        families: &[ConstraintFamily],
+        windows: &BTreeSet<(u32, u32)>,
+    ) -> Lowering {
         let t0 = Instant::now();
         let mut selectors = Vec::new();
         let mut stats = Vec::new();
@@ -258,22 +282,15 @@ impl ConstraintStore {
             let sel = smt.bool_var(format!("sel_{}_g{generation}", family.name()));
             smt.set_guard(Some(sel));
             let before = smt.num_sat_clauses();
-            let mut constraints = 0usize;
-            for c in records() {
-                constraints += 1;
-                match &c.payload {
-                    Payload::Term(t) => smt.assert(*t),
-                    Payload::AtMost { items, bound } => {
-                        lower_at_most(smt, c.provenance, items, *bound)
-                    }
-                }
+            for c in records().filter(|c| c.window().is_none_or(|w| windows.contains(&w))) {
+                lower_record(smt, c);
             }
             smt.flush();
             smt.set_guard(None);
             selectors.push((family, sel));
             stats.push(FamilyStats {
                 family,
-                constraints,
+                constraints: records().count(),
                 clauses: smt.num_sat_clauses() - before,
             });
         }
@@ -282,6 +299,30 @@ impl ConstraintStore {
             families: stats,
             elapsed: t0.elapsed(),
         }
+    }
+
+    /// Lowers the records sited at the windows `origins` under `selector`,
+    /// the live selector of the pin-density family, on a solver that
+    /// already holds the rest of the encoding. Returns the clauses they
+    /// added and the time it took.
+    pub fn lower_windows(
+        &self,
+        smt: &mut Smt,
+        selector: Term,
+        origins: &[(u32, u32)],
+    ) -> (usize, Duration) {
+        let t0 = Instant::now();
+        smt.flush();
+        let before = smt.num_sat_clauses();
+        smt.set_guard(Some(selector));
+        for c in &self.constraints {
+            if c.window().is_some_and(|w| origins.contains(&w)) {
+                lower_record(smt, c);
+            }
+        }
+        smt.flush();
+        smt.set_guard(None);
+        (smt.num_sat_clauses() - before, t0.elapsed())
     }
 
     /// Compares this store against `other` family by family and returns
@@ -331,6 +372,14 @@ impl ConstraintStore {
                 )
             })
             .collect()
+    }
+}
+
+/// Installs one record under the solver's current guard.
+fn lower_record(smt: &mut Smt, c: &Constraint) {
+    match &c.payload {
+        Payload::Term(t) => smt.assert(*t),
+        Payload::AtMost { items, bound } => lower_at_most(smt, c.provenance, items, *bound),
     }
 }
 
@@ -410,7 +459,7 @@ mod tests {
         let is5 = smt.eq_const(x, 5);
         store.assert(is5);
 
-        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL, &BTreeSet::new());
         assert_eq!(lowering.selectors.len(), 2);
         assert_eq!(lowering.families.len(), 2);
         assert!(lowering.families.iter().all(|f| f.constraints == 1));
@@ -444,7 +493,7 @@ mod tests {
             store
         };
         let store = emit(&mut smt, 3);
-        let g0 = store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        let g0 = store.lower(&mut smt, 0, &ConstraintFamily::ALL, &BTreeSet::new());
         let sels0: Vec<Term> = g0.selectors.iter().map(|&(_, s)| s).collect();
         assert_eq!(smt.solve_with(&sels0), SmtResult::Sat);
         assert_eq!(smt.bv_value(x), 3);
@@ -455,7 +504,7 @@ mod tests {
         let changed = store.diff_families(&relaxed);
         assert_eq!(changed, vec![ConstraintFamily::PinDensity]);
         smt.retire(sels0[1]);
-        let g1 = relaxed.lower(&mut smt, 1, &changed);
+        let g1 = relaxed.lower(&mut smt, 1, &changed, &BTreeSet::new());
         assert_eq!(g1.selectors.len(), 1);
         let sel1 = g1.selectors[0].1;
         assert_ne!(sels0[1], sel1);
@@ -511,7 +560,7 @@ mod tests {
         let le3 = smt.ule(x, three);
         let ge2 = smt.uge(x, two);
         store.assert_at_most(vec![(le3, 1), (ge2, 1)], 1);
-        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL, &BTreeSet::new());
         let sel = lowering.selectors[0].1;
         for value in 0..8 {
             let pin = smt.eq_const(x, value);
@@ -522,6 +571,39 @@ mod tests {
             };
             assert_eq!(smt.solve_with(&[sel, pin]), expect, "x = {value}");
         }
+    }
+
+    #[test]
+    fn window_records_lower_only_once_active() {
+        // Two windows bound x ≤ 3 and x ≥ 2 to weight 0: with neither
+        // active the family has a selector but no clauses, and each
+        // window lowered later under that selector excludes its values.
+        let mut smt = Smt::new();
+        let x = smt.bv_var(3, "x");
+        let mut store = ConstraintStore::new();
+        store.family(ConstraintFamily::PinDensity);
+        let three = smt.bv_const(3, 3);
+        let two = smt.bv_const(3, 2);
+        let le3 = smt.ule(x, three);
+        let ge2 = smt.uge(x, two);
+        store.at(Provenance::Window { x: 0, y: 0 });
+        store.assert_at_most(vec![(le3, 1)], 0);
+        store.at(Provenance::Window { x: 2, y: 0 });
+        store.assert_at_most(vec![(ge2, 1)], 0);
+        let lowering = store.lower(&mut smt, 0, &ConstraintFamily::ALL, &BTreeSet::new());
+        assert_eq!(lowering.families[0].constraints, 2);
+        assert_eq!(lowering.families[0].clauses, 0);
+        let sel = lowering.selectors[0].1;
+        let is1 = smt.eq_const(x, 1);
+        assert_eq!(smt.solve_with(&[sel, is1]), SmtResult::Sat);
+
+        let (clauses, _) = store.lower_windows(&mut smt, sel, &[(0, 0)]);
+        assert!(clauses > 0);
+        assert_eq!(smt.solve_with(&[sel, is1]), SmtResult::Unsat);
+        let is6 = smt.eq_const(x, 6);
+        assert_eq!(smt.solve_with(&[sel, is6]), SmtResult::Sat);
+        store.lower_windows(&mut smt, sel, &[(2, 0)]);
+        assert_eq!(smt.solve_with(&[sel]), SmtResult::Unsat);
     }
 
     #[test]

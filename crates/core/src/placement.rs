@@ -1,6 +1,6 @@
 //! Placement results, metrics, and the independent legality checker.
 
-use crate::encode::pin_density::window_origins;
+use crate::encode::pin_density::window_loads;
 use crate::scale::ScaleInfo;
 use ams_netlist::{ArrayPattern, Design, Rect, SymmetryAxis};
 use std::fmt;
@@ -188,6 +188,13 @@ pub struct PlaceStats {
     pub conflicts: u64,
     /// Weighted scaled HPWL after each SAT iteration (decreasing).
     pub hpwl_trace: Vec<u64>,
+    /// Pin-density windows lowered into the solver after each accepted
+    /// SAT iteration, parallel to `hpwl_trace`. A window is lowered only
+    /// once a model breaks it (or a closure override tightened it).
+    pub active_windows: Vec<usize>,
+    /// Solves re-run because a model broke a window that was not lowered
+    /// yet; such a model is never accepted.
+    pub window_resolves: u64,
     /// SAT variables in the final encoding.
     pub sat_vars: usize,
     /// SAT clauses in the final encoding.
@@ -282,7 +289,7 @@ pub struct CertifyReport {
 }
 
 /// Pin-density parameters a placement was checked against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PinDensityCheck {
     /// Window width in scaled units.
     pub beta_x: u32,
@@ -294,6 +301,19 @@ pub struct PinDensityCheck {
     pub stride_x: u32,
     /// Vertical window stride.
     pub stride_y: u32,
+    /// Per-window thresholds below `lambda` (routing-closure overrides),
+    /// keyed by scaled window origin and sorted by it.
+    pub overrides: Vec<((u32, u32), u64)>,
+}
+
+impl PinDensityCheck {
+    /// The bound of the window at scaled origin `(x, y)`: its override,
+    /// clamped to `lambda`, or `lambda` itself.
+    pub fn bound(&self, x: u32, y: u32) -> u64 {
+        self.overrides
+            .binary_search_by_key(&(x, y), |&(origin, _)| origin)
+            .map_or(self.lambda, |i| self.overrides[i].1.min(self.lambda))
+    }
 }
 
 /// A completed placement in unscaled grid units.
@@ -378,8 +398,11 @@ impl Placement {
 
     /// Checks every hard constraint of the design against this placement.
     ///
-    /// This is an independent oracle: it shares no code with the SMT
-    /// encoders and re-derives every geometric requirement from the design.
+    /// This is an independent oracle: it shares no clause-level code with
+    /// the SMT encoders and re-derives every geometric requirement from the
+    /// design. Pin density reads window loads from the one window checker
+    /// (`encode::pin_density::window_loads`, which the placer also runs on
+    /// every model) and judges each window against its own bound.
     ///
     /// # Errors
     ///
@@ -679,37 +702,25 @@ impl Placement {
     }
 
     fn check_pin_density(&self, design: &Design, out: &mut Vec<Violation>) {
-        let Some(pd) = self.pin_density else {
+        let Some(pd) = &self.pin_density else {
             return;
         };
         let (uw, uh) = self.units;
-        let bw = pd.beta_x * uw;
-        let bh = pd.beta_y * uh;
-        if self.die.w < bw || self.die.h < bh {
-            return;
-        }
-        // Scan the windows the encoding enforced: stride-stepped origins
-        // plus the final one of an off-stride die. A coarser stride is an
-        // explicit approximation knob (stride 1 reproduces the paper's |M|).
-        let xs = window_origins(self.die.w / uw, pd.beta_x, pd.stride_x);
-        let ys = window_origins(self.die.h / uh, pd.beta_y, pd.stride_y);
-        for wy in ys.into_iter().map(|y| y * uh) {
-            for wx in xs.iter().map(|&x| x * uw) {
-                let win = Rect::new(wx, wy, bw, bh);
-                let pins: u64 = design
-                    .cell_ids()
-                    .filter(|&c| self.cells[c.index()].overlaps(win))
-                    .map(|c| design.pin_count(c) as u64)
-                    .sum();
-                if pins > pd.lambda {
-                    out.push(Violation {
-                        kind: ViolationKind::PinDensity,
-                        detail: format!(
-                            "window at ({wx}, {wy}) holds {pins} pins > λ = {}",
-                            pd.lambda
-                        ),
-                    });
-                }
+        // The windows the encoding enforced, each against its own bound.
+        // A coarser stride is an explicit approximation knob (stride 1
+        // reproduces the paper's |M|).
+        let die = (self.die.w / uw, self.die.h / uh);
+        for ((x, y), pins) in window_loads(design, pd, die, self.units, &self.cells) {
+            let bound = pd.bound(x, y);
+            if pins > bound {
+                out.push(Violation {
+                    kind: ViolationKind::PinDensity,
+                    detail: format!(
+                        "window at ({}, {}) holds {pins} pins > λ = {bound}",
+                        x * uw,
+                        y * uh
+                    ),
+                });
             }
         }
     }

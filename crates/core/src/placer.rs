@@ -4,6 +4,7 @@
 use crate::analysis::presolve::{self, Domains, PresolveConflict};
 use crate::config::{solver_env, PinDensityConfig, PlacerConfig};
 use crate::encode;
+use crate::encode::pin_density::{self, LazyWindows};
 use crate::ir::{conflict_families, ConstraintFamily, ConstraintStore, FamilyStats};
 use crate::placement::{
     CertifyReport, DegradeReason, PinDensityCheck, PlaceOutcome, PlaceStats, Placement,
@@ -15,6 +16,7 @@ use crate::vars::VarMap;
 use ams_netlist::{CellId, Design, DiagCode, LintReport, Rect, RegionId};
 use ams_sat::{PortfolioConfig, Proof, StopCause};
 use ams_smt::{Smt, SmtResult, Term};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::AtomicBool;
@@ -283,6 +285,12 @@ pub struct Placer {
     selectors: Vec<(ConstraintFamily, Term)>,
     /// Per-family record/clause counts of the live generations.
     families: Vec<FamilyStats>,
+    /// Origins of the pin-density windows whose records are lowered: the
+    /// active set of lazy lowering. It only grows while the variable map
+    /// lives, and every re-lowering of the family lowers exactly it.
+    windows: BTreeSet<(u32, u32)>,
+    /// Solves the current job re-ran because a model broke a window.
+    window_resolves: u64,
     /// Total wall-clock time spent lowering (initial pass + re-lowerings).
     lowering: Duration,
     /// Lowering generation counter; bumped per re-lowering so selector
@@ -411,21 +419,6 @@ fn portfolio(config: &PlacerConfig) -> Option<PortfolioConfig> {
     })
 }
 
-/// The window parameters a placement is verified against.
-fn pin_density_check(
-    info: Option<encode::pin_density::PinDensityInfo>,
-    config: &PlacerConfig,
-) -> Option<PinDensityCheck> {
-    let (info, pd) = (info?, config.pin_density.as_ref()?);
-    Some(PinDensityCheck {
-        beta_x: info.beta_x,
-        beta_y: info.beta_y,
-        lambda: info.lambda,
-        stride_x: pd.stride_x,
-        stride_y: pd.stride_y,
-    })
-}
-
 /// How [`Placer::rebase`] absorbed a new configuration into a live solver.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum WarmReuse {
@@ -498,12 +491,15 @@ impl Placer {
         // typed records into the one constraint store, and a single
         // lowering pass installs them with per-family guard selectors.
         let encoding = encode::encode_design(&mut smt, &design, &scale, &plan, &vars, &config);
-        let lowering = encoding.store.lower(&mut smt, 0, &ConstraintFamily::ALL);
+        let windows = pin_density::seed_windows(&encoding.store, encoding.pd_check.as_ref());
+        let lowering = encoding
+            .store
+            .lower(&mut smt, 0, &ConstraintFamily::ALL, &windows);
         smt.set_portfolio(portfolio(&config));
 
         let placer = Placer {
             design,
-            pd_check: pin_density_check(encoding.pd_info, &config),
+            pd_check: encoding.pd_check,
             config,
             scale,
             plan,
@@ -512,6 +508,8 @@ impl Placer {
             store: encoding.store,
             selectors: lowering.selectors,
             families: lowering.families,
+            windows,
+            window_resolves: 0,
             lowering: lowering.elapsed,
             generation: 0,
             rungs: Vec::new(),
@@ -558,7 +556,8 @@ impl Placer {
     ///   density, and the extension margins of core geometry and arrays)
     ///   → their selectors are retired and the new records lowered on the
     ///   live solver — [`WarmReuse::Relowered`] with the learnt-clause
-    ///   carryover count.
+    ///   carryover count. Pin density lowers only the windows earlier
+    ///   jobs activated ([`Placer::active_windows`]), at their new bounds.
     ///
     /// Unless structural, the previous job's objective-tightening bounds
     /// are retracted (their selector is retired), the per-job conflict
@@ -600,7 +599,9 @@ impl Placer {
     /// an input of [`VarMap::create`] differs. Otherwise it re-encodes the
     /// design into the live solver's term pool, retires and re-lowers only
     /// the changed families, retracts the current objective bounds, and
-    /// adopts the configuration.
+    /// adopts the configuration. The active windows stay active, joined by
+    /// the windows `config` tightens, and a re-lowered pin-density family
+    /// lowers them at their new bounds.
     fn reconfigure(&mut self, config: PlacerConfig) -> Result<WarmReuse, PlaceError> {
         let front = front_half(&self.design, &config)?;
         // A different variable map invalidates every clause.
@@ -616,6 +617,10 @@ impl Placer {
             &config,
         );
         let changed = self.store.diff_families(&encoding.store);
+        self.windows.extend(pin_density::seed_windows(
+            &encoding.store,
+            encoding.pd_check.as_ref(),
+        ));
         // The design alone fixes symmetry, power abutment and wirelength.
         debug_assert!(
             changed.iter().all(|fam| matches!(
@@ -642,9 +647,10 @@ impl Placer {
                 self.retired.push(sel);
                 self.smt.retire(sel);
             }
-            let lowering = encoding
-                .store
-                .lower(&mut self.smt, self.generation, &changed);
+            let lowering =
+                encoding
+                    .store
+                    .lower(&mut self.smt, self.generation, &changed, &self.windows);
             self.lowering += lowering.elapsed;
             self.families.retain(|fs| !changed.contains(&fs.family));
             self.families.extend(lowering.families);
@@ -652,7 +658,7 @@ impl Placer {
             self.selectors.extend(lowering.selectors);
         }
         self.store = encoding.store;
-        self.pd_check = pin_density_check(encoding.pd_info, &config);
+        self.pd_check = encoding.pd_check;
         self.presolve = front.presolve.map(|stats| PresolveStats {
             vars_saved_bits: self.vars.saved_bits,
             ..stats
@@ -782,6 +788,7 @@ impl Placer {
         let t0 = Instant::now();
         let deadline = self.config.solver.deadline.map(|d| t0 + d);
         self.smt.set_deadline(deadline);
+        self.window_resolves = 0;
 
         let max_rungs = self.config.recovery.max_rungs;
         let mut relaxations: Vec<Relaxation> = Vec::new();
@@ -805,9 +812,11 @@ impl Placer {
                 let cancel = self.cancel.take();
                 let rungs = std::mem::take(&mut self.rungs);
                 let warm = self.warm_pending.take();
+                let window_resolves = self.window_resolves;
                 *self = Placer::with_design(Arc::clone(&self.design), config)?;
                 self.rungs = rungs;
                 self.warm_pending = warm;
+                self.window_resolves = window_resolves;
                 self.set_cancel_flag(cancel);
                 self.smt.set_deadline(deadline);
             }
@@ -849,16 +858,19 @@ impl Placer {
         if let Some(err) = self.presolve_fast_path() {
             return Err(err);
         }
-        // A warm re-solve keeps the previous job's saved phases — they
-        // encode a full legal model, a far better start than the greedy
-        // packing seed.
+        // A warm re-solve keeps the previous job's saved phases — every
+        // job leaves them on its best model, a far better start than the
+        // greedy packing seed.
         if self.warm_pending.is_none() {
             self.seed_hints();
         }
-        self.smt.set_conflict_budget(opt.first_conflict_budget);
+        // Only feasibility gets the first-solve budget; optimization rounds
+        // run under the (tighter) per-round one.
+        let mut budget = opt.first_conflict_budget;
 
         let mut best: Option<Model> = None;
         let mut trace: Vec<u64> = Vec::new();
+        let mut active_windows: Vec<usize> = Vec::new();
         let mut freeze: Vec<Term> = Vec::new();
         let mut sat_rounds = 0usize;
         let mut retried_unfrozen = false;
@@ -872,12 +884,10 @@ impl Placer {
                 degraded = Some(DegradeReason::Deadline);
                 break;
             }
-            match self.solve_round(&freeze) {
+            match self.solve_round(&freeze, budget) {
                 SmtResult::Sat => {
                     retried_unfrozen = false;
-                    // Optimization rounds run under the (tighter) per-round
-                    // budget; only feasibility gets the first-solve budget.
-                    self.smt.set_conflict_budget(opt.conflict_budget);
+                    budget = opt.conflict_budget;
                     let model = self.extract_model();
                     let phi_now = encode::wirelength::measure_weighted_hpwl(
                         &self.design,
@@ -886,6 +896,7 @@ impl Placer {
                         &model.ys,
                     );
                     trace.push(phi_now);
+                    active_windows.push(self.windows.len());
                     best = Some(model.clone());
                     sat_rounds += 1;
                     if sat_rounds > opt.k_iter || phi_now == 0 {
@@ -961,6 +972,10 @@ impl Placer {
                 "optimization loop ended without a model or an error".into(),
             ));
         };
+        // The last round may have ended UNSAT or on its budget with the
+        // saved phases somewhere else; point them back at the best model
+        // for the next job on this solver.
+        self.apply_hints(&model);
         let summary = self.smt.portfolio_summary();
         let stats = PlaceStats {
             outcome: match degraded {
@@ -980,6 +995,8 @@ impl Placer {
                 .conflicts
                 .saturating_sub(self.conflicts_base),
             hpwl_trace: trace,
+            active_windows,
+            window_resolves: self.window_resolves,
             sat_vars: self.smt.num_sat_vars(),
             sat_clauses: self.smt.num_sat_clauses(),
             families: self.families.clone(),
@@ -1085,13 +1102,48 @@ impl Placer {
     /// the round's freeze literals (Eq. 15) go in as assumptions. Shared
     /// by the feasibility solve, every ζ-tightening round, and the
     /// unfrozen retry — the assumption plumbing lives in exactly one
-    /// place.
-    fn solve_round(&mut self, freeze: &[Term]) -> SmtResult {
+    /// place. A model that breaks a pin-density window is never returned:
+    /// the window is lowered and the round re-solves within `budget`
+    /// conflicts in all ([`pin_density::solve_refined`]).
+    fn solve_round(&mut self, freeze: &[Term], budget: Option<u64>) -> SmtResult {
         let mut assumptions: Vec<Term> = self.selectors.iter().map(|&(_, sel)| sel).collect();
         // Reusable mode: enable this job's objective-tightening bounds.
         assumptions.extend(self.objective);
         assumptions.extend_from_slice(freeze);
-        self.smt.solve_with(&assumptions)
+        let lazy = LazyWindows {
+            design: &self.design,
+            scale: &self.scale,
+            vars: &self.vars,
+            store: &self.store,
+            check: self.pd_check.as_ref(),
+            selector: self
+                .selectors
+                .iter()
+                .find(|&&(fam, _)| fam == ConstraintFamily::PinDensity)
+                .map(|&(_, sel)| sel),
+        };
+        let refined = pin_density::solve_refined(
+            &mut self.smt,
+            &lazy,
+            &mut self.windows,
+            &assumptions,
+            budget,
+        );
+        self.window_resolves += refined.resolves;
+        self.lowering += refined.elapsed;
+        if let Some(fs) = self
+            .families
+            .iter_mut()
+            .find(|fs| fs.family == ConstraintFamily::PinDensity)
+        {
+            fs.clauses += refined.clauses;
+        }
+        refined.result
+    }
+
+    /// The origins of the pin-density windows lowered so far, in order.
+    pub fn active_windows(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.windows.iter().copied()
     }
 
     /// The live objective guard selector, created on first use per job
@@ -1345,7 +1397,7 @@ impl Placer {
             edge_cells,
             dummy_cells,
             units: (uw, uh),
-            pin_density: self.pd_check,
+            pin_density: self.pd_check.clone(),
             stats,
         }
     }

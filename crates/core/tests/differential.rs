@@ -14,7 +14,11 @@
 //! verdicts must never disagree. A fourth arm checks presolve soundness:
 //! the static analyzer must never declare a reference-placeable design
 //! infeasible, and presolve's domain pruning must never change the plain
-//! placer's verdict or the legality of its models. `differential_mini_designs_agree` is the
+//! placer's verdict or the legality of its models. A fifth arm turns pin
+//! density on with λ_th at or just above the largest per-cell pin count,
+//! so windows bind and the placer's lazy window loop runs; the reference
+//! then judges every window through the same `Placement::verify`.
+//! `differential_mini_designs_agree` is the
 //! always-on subset; the fifty-design acceptance run is `#[ignore]`d into
 //! the release-mode scheduled job (see `.github/workflows/nightly.yml`)
 //! and the release step of CI.
@@ -23,7 +27,7 @@ use ams_netlist::benchmarks::{synthetic, SyntheticParams};
 use ams_netlist::rng::SplitMix64;
 use ams_place::analysis::presolve;
 use ams_place::brute::{reference_place, BruteLimits, ReferenceVerdict};
-use ams_place::{drat, PlaceError, Placer, PlacerConfig};
+use ams_place::{drat, PinDensityConfig, PlaceError, Placer, PlacerConfig};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Verdict {
@@ -39,6 +43,17 @@ fn smt_verdict(
     threads: usize,
     label: &str,
 ) -> Verdict {
+    smt_run(design, cfg, threads, label).0
+}
+
+/// [`smt_verdict`], plus the pin-density windows a feasible run lowered
+/// (0 for an infeasible one).
+fn smt_run(
+    design: &ams_netlist::Design,
+    cfg: &PlacerConfig,
+    threads: usize,
+    label: &str,
+) -> (Verdict, usize) {
     let mut builder = Placer::builder(design).config(cfg.clone()).certify(true);
     if threads > 1 {
         builder = builder.threads(threads);
@@ -56,19 +71,20 @@ fn smt_verdict(
                 .certify
                 .expect("certify mode re-verifies the model");
             assert_eq!(report.model_violations, 0, "{label}: certify disagrees");
-            Verdict::Sat
+            let windows = placement.stats.active_windows.last().copied();
+            (Verdict::Sat, windows.unwrap_or(0))
         }
         Err(PlaceError::Infeasible { certificate, .. }) => {
             let proof = certificate.unwrap_or_else(|| panic!("{label}: UNSAT without proof"));
             let stats = drat::check(&proof)
                 .unwrap_or_else(|e| panic!("{label}: certificate rejected: {e}"));
             assert!(stats.additions > 0 || !proof.clauses.is_empty());
-            Verdict::Unsat
+            (Verdict::Unsat, 0)
         }
         // The pre-solve linter only rejects provably-broken inputs, so it
         // counts as an (uncertified) UNSAT verdict; the reference placer
         // cross-checks it below like any other disagreement.
-        Err(PlaceError::Lint(_)) => Verdict::Unsat,
+        Err(PlaceError::Lint(_)) => (Verdict::Unsat, 0),
         Err(e) => panic!("{label}: unexpected failure: {e}"),
     }
 }
@@ -106,6 +122,10 @@ struct FuzzStats {
     sat: usize,
     unsat: usize,
     skipped_too_large: usize,
+    /// Designs the pin-density arm compared.
+    density_compared: usize,
+    /// Pin-density runs (either thread count) that lowered a window.
+    density_activated: usize,
 }
 
 /// Runs seeded rounds until `target` designs received all three verdicts.
@@ -115,6 +135,8 @@ fn run_rounds(target: usize, base_seed: u64) -> FuzzStats {
         sat: 0,
         unsat: 0,
         skipped_too_large: 0,
+        density_compared: 0,
+        density_activated: 0,
     };
     let limits = BruteLimits {
         max_leaves: 300_000,
@@ -224,6 +246,42 @@ fn run_rounds(target: usize, base_seed: u64) -> FuzzStats {
             Verdict::Sat => stats.sat += 1,
             Verdict::Unsat => stats.unsat += 1,
         }
+
+        // Arm five: pin density with windows that bind. One cell's pins
+        // always fit; two pin-carrying cells in one window may not.
+        let max_pins = design
+            .cell_ids()
+            .map(|c| design.pin_count(c) as u64)
+            .max()
+            .unwrap_or(0);
+        let mut density = cfg.clone();
+        density.pin_density = Some(PinDensityConfig {
+            lambda: Some(max_pins + rng.range_u64(0, 1)),
+            ..PinDensityConfig::default()
+        });
+        let reference = match reference_place(&design, &density, &limits) {
+            ReferenceVerdict::Feasible(p) => {
+                assert!(p.verify(&design).is_ok(), "round {round}: bad reference");
+                Verdict::Sat
+            }
+            ReferenceVerdict::Infeasible => Verdict::Unsat,
+            ReferenceVerdict::TooLarge => continue,
+            ReferenceVerdict::Unsupported(what) => {
+                panic!("round {round}: generator produced unsupported feature: {what}")
+            }
+        };
+        for threads in [1, 4] {
+            let label = format!("round {round} pin density threads={threads}");
+            let (verdict, windows) = smt_run(&design, &density, threads, &label);
+            assert_eq!(
+                verdict,
+                reference,
+                "{label} ({}): SMT placer vs exhaustive reference disagree",
+                design.name()
+            );
+            stats.density_activated += usize::from(windows > 0);
+        }
+        stats.density_compared += 1;
     }
     stats
 }
@@ -233,6 +291,11 @@ fn run_rounds(target: usize, base_seed: u64) -> FuzzStats {
 fn differential_mini_designs_agree() {
     let stats = run_rounds(10, 0xD1FF);
     assert!(stats.sat > 0, "subset never exercised the SAT path");
+    assert!(stats.density_compared > 0, "no pin-density comparison ran");
+    assert!(
+        stats.density_activated > 0,
+        "no pin-density run lowered a window: the lazy loop went untested"
+    );
 }
 
 /// The acceptance run: fifty mini-designs, three deciders, zero
@@ -251,5 +314,9 @@ fn differential_fifty_designs_agree() {
         stats.unsat >= 5,
         "only {} of 50 designs were infeasible — UNSAT path under-tested",
         stats.unsat
+    );
+    assert!(
+        stats.density_activated > 0,
+        "no pin-density run lowered a window: the lazy loop went untested"
     );
 }

@@ -168,6 +168,7 @@ fn pin_density_violations_detected_by_oracle() {
         lambda: 1,
         stride_x: 1,
         stride_y: 1,
+        overrides: Vec::new(),
     });
     let Err(violations) = p.verify(&d) else {
         panic!("λ=1 must be violated by any real placement");

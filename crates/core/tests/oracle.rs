@@ -212,6 +212,7 @@ fn pin_density_checks_the_last_window_of_an_off_stride_die() {
             lambda: 9,
             stride_x: 2,
             stride_y: 1,
+            overrides: Vec::new(),
         }),
         stats: PlaceStats::default(),
     };

@@ -216,10 +216,36 @@ fn crowded_window_is_exactly_pin_density() {
         lambda: 3,
         stride_x: 1,
         stride_y: 1,
+        overrides: Vec::new(),
     });
     p.verify(&design).expect("spread-out pins start legal");
     // One site move: b abuts a and the window at (0, 0) now sees 6 pins.
     p.cells[1].x = 2;
+    assert_exactly(&p, &design, ViolationKind::PinDensity);
+}
+
+#[test]
+fn a_closure_tightened_window_is_exactly_pin_density() {
+    let (design, mut p) = fixture();
+    // a's three pins fill the window at scaled origin (0, 0) up to the
+    // global threshold, and no window holds more.
+    let check = PinDensityCheck {
+        beta_x: 2,
+        beta_y: 1,
+        lambda: 3,
+        stride_x: 1,
+        stride_y: 1,
+        overrides: Vec::new(),
+    };
+    p.pin_density = Some(check.clone());
+    p.verify(&design)
+        .expect("every window is under the global λ");
+    // A routing-closure override tightens that one window to two pins:
+    // the untouched placement now breaks it, under the global λ still.
+    p.pin_density = Some(PinDensityCheck {
+        overrides: vec![((0, 0), 2)],
+        ..check
+    });
     assert_exactly(&p, &design, ViolationKind::PinDensity);
 }
 

@@ -119,12 +119,13 @@ fn zero_lambda_design_is_recovered_by_the_ladder() {
     // Sequential solving pins the learnt-carryover assertion below: in
     // portfolio mode the winning worker replaces the SAT core, and a
     // diversified worker may prove UNSAT with an empty learnt database.
-    let p = Placer::builder(&d)
+    let mut placer = Placer::builder(&d)
         .config(cfg.clone())
         .threads(1)
         .build()
-        .expect("recoverable lint errors must not block encoding")
-        .place()
+        .expect("recoverable lint errors must not block encoding");
+    let p = placer
+        .place_mut()
         .expect("the ladder recovers a zero-lambda design");
     p.verify(&d).expect("recovered placement is legal");
     match &p.stats.outcome {
@@ -156,6 +157,29 @@ fn zero_lambda_design_is_recovered_by_the_ladder() {
         pd_rung.learnts_carried > 0,
         "the UNSAT proof's learnt clauses must survive into the rung"
     );
+    // The windows λ_th = 0 activated on the way to its UNSAT verdict stay
+    // active through the rung, re-lowered at the raised threshold: more
+    // than a cold solve at that threshold ever lowers.
+    let Relaxation::RaisePinDensity { to, .. } = pd_rung.relaxation else {
+        unreachable!()
+    };
+    let mut raised = cfg.clone();
+    raised.pin_density = Some(PinDensityConfig {
+        lambda: Some(to),
+        ..PinDensityConfig::default()
+    });
+    let mut cold = Placer::builder(&d)
+        .config(raised)
+        .threads(1)
+        .build()
+        .expect("encode");
+    cold.place_mut().expect("the raised threshold is feasible");
+    let kept = placer.active_windows().count();
+    assert!(
+        kept > cold.active_windows().count(),
+        "the rung kept {kept} active windows"
+    );
+    assert_eq!(p.stats.active_windows.first(), Some(&kept));
 
     // With recovery disabled the same design is rejected by the linter.
     cfg.recovery.max_rungs = 0;

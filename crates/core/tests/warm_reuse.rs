@@ -5,6 +5,8 @@
 //! and immune to the `AMSPLACE_*` environment variables.
 
 use ams_netlist::benchmarks::{self, SyntheticParams};
+use ams_place::api::JobOptions;
+use ams_place::scenario::scenario;
 use ams_place::{ConstraintFamily, PinDensityConfig, Placer, PlacerConfig, WarmReuse};
 
 /// Small multi-region synthetic: enough cells and nets that the
@@ -66,6 +68,43 @@ fn lambda_only_change_relowers_just_pin_density() {
     let warm = second.stats.warm.as_ref().expect("warm stats attached");
     assert_eq!(warm.relowered, vec![ConstraintFamily::PinDensity]);
     assert_eq!(warm.learnts_carried, *learnts_carried);
+}
+
+#[test]
+fn lambda_rebase_relowers_only_the_active_windows() {
+    let d = design();
+    let pin_density_clauses = |p: &ams_place::Placement| {
+        p.stats
+            .families
+            .iter()
+            .find(|fs| fs.family == ConstraintFamily::PinDensity)
+            .map(|fs| fs.clauses)
+    };
+
+    // A generous threshold: no model breaks a window, so nothing is
+    // lowered, and a rebase to another threshold lowers nothing either.
+    let mut placer = Placer::new(&d, reusable_config(40)).expect("encode");
+    placer.place_mut().expect("cold solve");
+    assert_eq!(placer.active_windows().count(), 0);
+    let reuse = placer.rebase(reusable_config(41)).expect("rebase");
+    assert!(matches!(reuse, WarmReuse::Relowered { .. }), "{reuse:?}");
+    let warm = placer.place_mut().expect("warm solve");
+    assert_eq!(warm.stats.window_resolves, 0);
+    assert_eq!(pin_density_clauses(&warm), Some(0));
+
+    // A tight one: the cold solve activates windows, and the rebase keeps
+    // exactly that set, re-lowered at the new bound.
+    let mut placer = Placer::new(&d, reusable_config(9)).expect("encode");
+    let cold = placer.place_mut().expect("cold solve");
+    cold.verify(&d).expect("cold placement is legal");
+    let active: Vec<(u32, u32)> = placer.active_windows().collect();
+    assert!(!active.is_empty(), "λ_th = 9 must break a window");
+    placer.rebase(reusable_config(10)).expect("rebase");
+    assert_eq!(placer.active_windows().collect::<Vec<_>>(), active);
+    let warm = placer.place_mut().expect("warm solve");
+    warm.verify(&d).expect("warm placement is legal");
+    assert!(warm.stats.active_windows[0] >= active.len());
+    assert!(pin_density_clauses(&warm) > Some(0));
 }
 
 #[test]
@@ -148,4 +187,43 @@ fn softened_array_extensions_relower_the_keepouts() {
             learnts_carried: 0,
         }
     );
+}
+
+#[test]
+fn a_warm_job_starts_from_the_previous_best_model() {
+    // Corpus scenario 325 under `--quick` breaks no window at these
+    // thresholds, so a λ_th change leaves the lowered CNF as it was and
+    // the previous job's best placement stays legal. Every warm job's
+    // first model is that placement, also after a job whose last round
+    // found nothing better and left the solver's phases elsewhere.
+    let s = scenario(325);
+    let config = |lambda_th| {
+        let mut config = JobOptions {
+            quick: true,
+            threads: Some(1),
+            lambda_th,
+            ..JobOptions::default()
+        }
+        .to_config();
+        config.solver.reusable = true;
+        config
+    };
+    let last = |p: &ams_place::Placement| *p.stats.hpwl_trace.last().expect("a model");
+    let mut placer = Placer::new(&s.design, config(None)).expect("encode");
+    let mut best = last(&placer.place_mut().expect("cold solve"));
+    let mut unimproved = 0;
+    for lambda in [43, 40, 47, 41] {
+        placer.rebase(config(Some(lambda))).expect("rebase");
+        let p = placer.place_mut().expect("warm solve");
+        p.verify(&s.design).expect("warm placement is legal");
+        assert_eq!(placer.active_windows().count(), 0);
+        assert_eq!(
+            p.stats.hpwl_trace[0], best,
+            "λ_th = {lambda}: {:?}",
+            p.stats.hpwl_trace
+        );
+        unimproved += usize::from(p.stats.hpwl_trace.len() == 1);
+        best = last(&p);
+    }
+    assert!(unimproved > 0, "some job must end on a round that failed");
 }

@@ -367,8 +367,15 @@ fn parse_args() -> Result<Args, String> {
 
 /// The per-job solver knobs these CLI flags describe — shared verbatim
 /// with the server wire format, so `amsplace submit` and a local run
-/// configure the identical instance.
+/// configure the identical instance. A corpus scenario spec adds its
+/// sweep point's die aspect.
 fn job_options(args: &Args) -> JobOptions {
+    let scenario = args
+        .design_path
+        .as_deref()
+        .and_then(|spec| spec.strip_prefix("scenario:"))
+        .and_then(|i| i.parse().ok())
+        .filter(|&i| i < scenario::CORPUS_SIZE);
     JobOptions {
         quick: args.quick,
         iters: args.iters,
@@ -382,6 +389,7 @@ fn job_options(args: &Args) -> JobOptions {
         presolve: !args.no_presolve,
         close: args.close,
         close_iters: args.max_iters,
+        aspect: scenario.map(|i| scenario::scenario(i).aspect_ratio),
     }
 }
 
@@ -407,22 +415,12 @@ fn load_design(spec: &str) -> Result<Design, String> {
     Design::from_json(&json).map_err(|e| format!("parsing {spec}: {e}"))
 }
 
-/// Folds design-spec-implied placement knobs into `config`: a corpus
-/// scenario carries its sweep point's die aspect ratio.
-fn spec_config(spec: &str, config: PlacerConfig) -> PlacerConfig {
-    match spec.strip_prefix("scenario:").and_then(|i| i.parse().ok()) {
-        Some(index) if index < scenario::CORPUS_SIZE => scenario::scenario(index).config(config),
-        _ => config,
-    }
-}
-
 /// The design and configuration a local place, close, route or lint run
 /// works on: the [`PlaceRequest`] these flags describe, resolved by the
 /// two calls the server makes ([`PlaceRequest::effective_design`] and
-/// [`JobOptions::to_config`]), then a corpus scenario's die aspect. So
-/// `lint` judges the instance the solve sees, and a local run solves the
-/// instance `submit` would. Without a loadable design it says why and
-/// returns the exit code.
+/// [`JobOptions::to_config`]). So `lint` judges the instance the solve
+/// sees, and a local run solves the instance `submit` would. Without a
+/// loadable design it says why and returns the exit code.
 fn local_job(args: &Args) -> Result<(Design, PlacerConfig), ExitCode> {
     let Some(spec) = &args.design_path else {
         eprint!("{USAGE}");
@@ -436,8 +434,7 @@ fn local_job(args: &Args) -> Result<(Design, PlacerConfig), ExitCode> {
         options: job_options(args),
         idempotency_key: None,
     };
-    let config = spec_config(spec, request.options.to_config());
-    Ok((request.effective_design(), config))
+    Ok((request.effective_design(), request.options.to_config()))
 }
 
 /// The `amsplace lint` subcommand. Exits 2 when `--presolve` proves the

@@ -3,7 +3,8 @@
 //! `--deadline-ms` reach `close` and `route` as they reach a plain
 //! placement, `--close` runs the closure loop as `close` does, the
 //! environment fills only what the flags left unset, and `lint` judges
-//! the instance the solve sees. A served job reads no environment at all.
+//! the instance the solve sees. A served job reads no environment at all,
+//! and solves the instance a local run of the same spec solves.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -125,38 +126,85 @@ impl Drop for ServerProc {
     }
 }
 
+/// `amsplace serve` on an ephemeral port under `env`, with the address it
+/// bound and a thread draining its stdout so it never blocks on a full
+/// pipe.
+struct Server {
+    child: ServerProc,
+    addr: String,
+    drain: std::thread::JoinHandle<()>,
+}
+
+impl Server {
+    fn start(env: &[(&str, &str)]) -> Server {
+        let mut server = Command::new(env!("CARGO_BIN_EXE_amsplace"));
+        server
+            .args(["serve", "--bind", "127.0.0.1:0", "--workers", "1"])
+            .envs(env.iter().copied())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null());
+        let mut child = ServerProc(server.spawn().expect("spawn amsplace serve"));
+        let mut lines = BufReader::new(child.0.stdout.take().expect("piped stdout")).lines();
+        let addr = lines
+            .by_ref()
+            .map_while(Result::ok)
+            .find_map(|line| {
+                let rest = line.strip_prefix("amsplace serving on http://")?;
+                rest.split_whitespace().next().map(str::to_string)
+            })
+            .expect("the banner names the bound address");
+        let drain = std::thread::spawn(move || lines.for_each(drop));
+        Server { child, addr, drain }
+    }
+
+    fn shutdown(self) {
+        let shutdown = amsplace(&["shutdown", "--addr", &self.addr]).status();
+        assert!(matches!(&shutdown, Ok(s) if s.success()), "{shutdown:?}");
+        drop(self.child);
+        self.drain.join().expect("stdout drain");
+    }
+}
+
 #[test]
 fn served_jobs_ignore_the_environment() {
     // Server and client both run under an environment that would ask for
     // two threads and a deadline no solve can meet. The job must still
     // solve on one thread to completion.
     let env = [("AMSPLACE_THREADS", "2"), ("AMSPLACE_DEADLINE_MS", "1")];
-    let mut server = Command::new(env!("CARGO_BIN_EXE_amsplace"));
-    server
-        .args(["serve", "--bind", "127.0.0.1:0", "--workers", "1"])
-        .envs(env)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null());
-    let mut child = ServerProc(server.spawn().expect("spawn amsplace serve"));
-    let mut lines = BufReader::new(child.0.stdout.take().expect("piped stdout")).lines();
-    let addr = lines
-        .by_ref()
-        .map_while(Result::ok)
-        .find_map(|line| {
-            let rest = line.strip_prefix("amsplace serving on http://")?;
-            rest.split_whitespace().next().map(str::to_string)
-        })
-        .expect("the banner names the bound address");
-    // Keep draining stdout so the server never blocks on a full pipe.
-    let drain = std::thread::spawn(move || lines.for_each(drop));
-
-    let mut submit = amsplace(&["submit", "synthetic", "--quick", "--addr", &addr]);
+    let server = Server::start(&env);
+    let mut submit = amsplace(&["submit", "synthetic", "--quick", "--addr", &server.addr]);
     submit.envs(env);
     let doc = stats_of(submit, "served");
-    let shutdown = amsplace(&["shutdown", "--addr", &addr]).status();
-    assert!(matches!(&shutdown, Ok(s) if s.success()), "{shutdown:?}");
-    drop(child);
-    drain.join().expect("stdout drain");
+    server.shutdown();
     assert_eq!(threads(&doc), 1);
     assert!(doc.field("outcome").and_then(Json::as_str).is_some());
+}
+
+#[test]
+fn served_scenarios_keep_their_die_aspect() {
+    // Scenario 666's sweep point asks for a 2:1 die. Through `submit` the
+    // request must carry it, so both runs solve one instance and agree on
+    // its first model. (`--iters 0` stops there: the server keeps its
+    // placers reusable, which guards the ζ bounds of later rounds behind
+    // a selector, so a later round may take another path.)
+    let args = ["scenario:666", "--quick", "--iters", "0"];
+    let local = stats_of(amsplace(&args), "scenario_local");
+    let server = Server::start(&[]);
+    let mut submit = amsplace(&["submit", "--addr", &server.addr]);
+    submit.args(args);
+    let served = stats_of(submit, "scenario_served");
+    server.shutdown();
+    let die = |doc: &Json| {
+        let die = doc.field("die").expect("stats carry the die");
+        (
+            die.field("w").and_then(Json::as_u64),
+            die.field("h").and_then(Json::as_u64),
+        )
+    };
+    let (w, h) = die(&local);
+    assert!(w > h, "scenario 666 places on a wide die: {w:?} x {h:?}");
+    assert_eq!(die(&served), (w, h));
+    let hpwl = |doc: &Json| doc.field("hpwl_um").and_then(Json::as_f64);
+    assert!(hpwl(&local).is_some());
+    assert_eq!(hpwl(&served), hpwl(&local));
 }

@@ -8,6 +8,7 @@ use std::collections::BTreeSet;
 use std::process::Command;
 
 const TOP_LEVEL_FIELDS: &[&str] = &[
+    "active_windows",
     "area_um2",
     "certify",
     "closure",
@@ -29,6 +30,7 @@ const TOP_LEVEL_FIELDS: &[&str] = &[
     "schema_version",
     "threads",
     "warm",
+    "window_resolves",
     "winner",
     "workers",
 ];
@@ -113,6 +115,12 @@ fn stats_json_matches_the_golden_schema() {
     assert!(matches!(map["outcome"], Json::Str(_)));
     assert!(matches!(map["iterations"], Json::Num(_)));
     assert!(matches!(map["hpwl_trace"], Json::Arr(_)));
+    // One active-window count per accepted round, next to its HPWL.
+    let (Json::Arr(active), Json::Arr(trace)) = (&map["active_windows"], &map["hpwl_trace"]) else {
+        panic!("active_windows and hpwl_trace are arrays");
+    };
+    assert_eq!(active.len(), trace.len());
+    assert!(matches!(map["window_resolves"], Json::Num(_)));
     assert_eq!(
         keys(&map["die"]),
         ["h", "w"].iter().map(|s| s.to_string()).collect()
